@@ -301,7 +301,9 @@ def cartesian_product(g: Graph, h: Graph, size_cap: int = PRODUCT_SIZE_CAP) -> P
                 acc |= 1 << (gv * h.n + hu)
             adj[base + hu] = acc
     prod = ProductGraph(Graph(n, adj), g, h)
-    assert prod.graph.edge_count == g.n * h.edge_count + h.n * g.edge_count
+    expected = g.n * h.edge_count + h.n * g.edge_count
+    if prod.graph.edge_count != expected:
+        raise AssertionError(f"product has {prod.graph.edge_count} edges, expected {expected}")
     return prod
 
 

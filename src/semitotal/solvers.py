@@ -6,6 +6,11 @@ and is the correctness anchor (guarded to small graphs), ``solve_bnb`` is a
 pruned branch-and-bound returning the same value on every input where both
 run.  Witnesses always validate under the matching predicate; the oracle's
 witness is the lexicographically least optimal set.
+
+One branch-and-bound kernel serves gamma, gamma_t and gamma_t2: it optimises
+from a greedy incumbent for ``solve_bnb`` and answers budgeted feasibility
+probes for ``lexleast_min_semitotal_set``, pruning with the degree bound and
+a disjoint-candidate bound.  The packing number has its own search.
 """
 
 from dataclasses import dataclass
@@ -160,11 +165,21 @@ def enumerate_min_semitotal_sets(g: Graph) -> list[VertexSet]:
     return out
 
 
-def _greedy_domination(g: Graph, kind: str) -> int:
+def _kernel_tables(g: Graph, kind: str) -> tuple:
+    """Per-graph tables of the search kernel, built once per solver call:
+    cover rows, partner balls B2(v) minus v (gamma_t2 only), negated degrees
+    (the branching order) and max degree + 1."""
+    cover = g.adj if kind == "gamma_t" else g.closed
+    ball2x = [g.ball2(v) & ~(1 << v) for v in range(g.n)] if kind == "gamma_t2" else None
+    negdeg = [-g.degree(v) for v in range(g.n)]
+    return cover, ball2x, negdeg, 1 - min(negdeg)
+
+
+def _greedy_domination(g: Graph, tables: tuple) -> int:
     """Deterministic greedy upper bound used to seed the search incumbent."""
+    cover, ball2x, _, _ = tables
     n = g.n
     full = (1 << n) - 1
-    cover = g.adj if kind == "gamma_t" else g.closed
     chosen = 0
     covered = 0
     while covered != full:
@@ -177,8 +192,7 @@ def _greedy_domination(g: Graph, kind: str) -> int:
                 best_v, best_gain = v, gain
         chosen |= 1 << best_v
         covered |= cover[best_v]
-    if kind == "gamma_t2":
-        ball2x = [g.ball2(v) & ~(1 << v) for v in range(n)]
+    if ball2x is not None:
         while True:
             lonely = [u for u in _bits(chosen) if not chosen & ball2x[u]]
             if not lonely:
@@ -193,117 +207,87 @@ def _greedy_domination(g: Graph, kind: str) -> int:
     return chosen
 
 
-def _min_domination_bnb(g: Graph, kind: str) -> int:
-    """Branch and bound over coverage (and partner repair for gamma_t2).
+def _search_kernel(
+    g: Graph,
+    tables: tuple,
+    *,
+    incumbent: int | None = None,
+    budget: int = 0,
+    chosen0: int = 0,
+    excluded0: int = 0,
+) -> int | None:
+    """Branch and bound over coverage, with partner repair for gamma_t2.
 
-    Branches on the most constrained uncovered vertex, candidate dominators
-    ordered by degree; prunes with the incumbent and the uncovered-vertex
-    lower bound ceil(uncovered / (max degree + 1)).
+    Searches the sets that contain ``chosen0`` and avoid ``excluded0``.  Two
+    modes: *optimise* (``incumbent`` given) returns a minimum set, or the
+    incumbent when nothing smaller exists; *budgeted-feasible* returns the
+    first set of at most ``budget`` vertices, or None.
+
+    Branches on the uncovered vertex with the fewest candidate dominators,
+    candidates by degree descending.  Lower bounds on the members still
+    needed: ceil(uncovered / (max degree + 1)), and the number of uncovered
+    vertices with pairwise disjoint candidate sets, collected greedily in the
+    scan that picks the branching vertex (each needs its own member).
     """
     n = g.n
     full = (1 << n) - 1
-    cover = g.adj if kind == "gamma_t" else g.closed
-    need_partner = kind == "gamma_t2"
-    ball2x = [g.ball2(v) & ~(1 << v) for v in range(n)] if need_partner else None
-    deg = [g.degree(v) for v in range(n)]
-    delta1 = max(deg) + 1
-
-    best_mask = _greedy_domination(g, kind)
-    best_size = best_mask.bit_count()
-
-    def search(chosen: int, covered: int, excluded: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        uncovered = full & ~covered
-        bound = (uncovered.bit_count() + delta1 - 1) // delta1
-        lonely_first = -1
-        if need_partner and not uncovered:
-            for u in _bits(chosen):
-                if not chosen & ball2x[u]:
-                    lonely_first = u
-                    break
-            if lonely_first >= 0 and bound == 0:
-                bound = 1
-        if size + bound >= best_size:
-            return
-        if not uncovered and lonely_first < 0:
-            best_mask, best_size = chosen, size
-            return
-        if uncovered:
-            avail = 0
-            branch_count = n + 1
-            for u in _bits(uncovered):
-                options = cover[u] & ~excluded
-                count = options.bit_count()
-                if count == 0:
-                    return  # dead branch: u can no longer be covered
-                if count < branch_count:
-                    avail, branch_count = options, count
-        else:
-            avail = ball2x[lonely_first] & ~excluded & ~chosen
-            if not avail:
-                return
-        order = sorted(_bits(avail), key=lambda v: (-deg[v], v))
-        ex = excluded
-        for v in order:
-            search(chosen | 1 << v, covered | cover[v], ex, size + 1)
-            ex |= 1 << v
-            if size + bound >= best_size:
-                return  # incumbent improved below this node's bound
-
-    search(0, 0, 0, 0)
-    return best_mask
-
-
-def _feasible_semitotal(g: Graph, budget: int, chosen0: int, excluded0: int) -> bool:
-    """Does some semi-total dominating set of size <= budget extend ``chosen0``
-    using only vertices outside ``excluded0``?"""
-    n = g.n
-    full = (1 << n) - 1
-    cover = g.closed
-    ball2x = [g.ball2(v) & ~(1 << v) for v in range(n)]
-    deg = [g.degree(v) for v in range(n)]
-    delta1 = max(deg) + 1
+    cover, ball2x, negdeg, delta1 = tables
+    first = incumbent is None
+    best = incumbent
+    best_size = budget + 1 if first else incumbent.bit_count()
 
     def search(chosen: int, covered: int, excluded: int, size: int) -> bool:
+        nonlocal best, best_size
         uncovered = full & ~covered
-        bound = (uncovered.bit_count() + delta1 - 1) // delta1
-        lonely_first = -1
-        if not uncovered:
-            for u in _bits(chosen):
-                if not chosen & ball2x[u]:
-                    lonely_first = u
-                    break
-            if lonely_first < 0:
-                return True
-            if bound == 0:
-                bound = 1
-        if size + bound > budget:
-            return False
         if uncovered:
-            avail = 0
-            branch_count = n + 1
-            for u in _bits(uncovered):
-                options = cover[u] & ~excluded
+            bound = (uncovered.bit_count() + delta1 - 1) // delta1
+            if size + bound >= best_size:
+                return False
+            avail, branch_count, used, disjoint = 0, n + 1, 0, 0
+            rest = uncovered
+            while rest:  # _bits(uncovered) inlined: this is the hot loop
+                low = rest & -rest
+                rest ^= low
+                options = cover[low.bit_length() - 1] & ~excluded
+                if not options:
+                    return False  # dead branch: an uncovered vertex has no candidate left
+                if not options & used:
+                    used |= options
+                    disjoint += 1
                 count = options.bit_count()
-                if count == 0:
-                    return False
                 if count < branch_count:
                     avail, branch_count = options, count
+            bound = max(bound, disjoint)
         else:
-            avail = ball2x[lonely_first] & ~excluded & ~chosen
-            if not avail:
-                return False
+            lonely = -1
+            if ball2x is not None:
+                for u in _bits(chosen):
+                    if not chosen & ball2x[u]:
+                        lonely = u
+                        break
+            if lonely < 0:
+                if size >= best_size:
+                    return False
+                best, best_size = chosen, size
+                return first
+            bound = 1
+            avail = ball2x[lonely] & ~excluded & ~chosen
+        if size + bound >= best_size:
+            return False
         ex = excluded
-        for v in sorted(_bits(avail), key=lambda w: (-deg[w], w)):
+        for v in sorted(_bits(avail), key=negdeg.__getitem__):
             if search(chosen | 1 << v, covered | cover[v], ex, size + 1):
                 return True
             ex |= 1 << v
+            if size + bound >= best_size:
+                return False  # incumbent improved below this node's bound
         return False
 
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    return search(chosen0, covered0, excluded0, chosen0.bit_count())
+    search(chosen0, covered0, excluded0, chosen0.bit_count())
+    return best
 
 
 def lexleast_min_semitotal_set(g: Graph) -> VertexSet:
@@ -311,22 +295,33 @@ def lexleast_min_semitotal_set(g: Graph) -> VertexSet:
 
     Canonical replay witness: agrees with the oracle's witness wherever the
     oracle runs, without the oracle's size guard.  Built by locking vertices
-    in ascending order against a budgeted feasibility search.
+    in ascending order against budgeted-feasible searches; a probe that the
+    current witness already answers is not searched.
     """
     _check_isolate_free(g)
-    value = solve_bnb(g, "gamma_t2").value
+    witness = solve_bnb(g, "gamma_t2").witness.mask
+    value = witness.bit_count()
+    tables = _kernel_tables(g, "gamma_t2")
     chosen = 0
     floor = 0
     for _ in range(value):
         for v in range(floor, g.n):
+            probe = chosen | 1 << v
             below = (1 << (v + 1)) - 1
-            if _feasible_semitotal(g, value, chosen | 1 << v, below):
-                chosen |= 1 << v
-                floor = v + 1
-                break
+            if witness & below != probe:
+                found = _search_kernel(
+                    g, tables, budget=value, chosen0=probe, excluded0=below & ~probe
+                )
+                if found is None:
+                    continue
+                witness = found
+            chosen = probe
+            floor = v + 1
+            break
         else:
             raise AssertionError("lexicographic extension must exist at the optimum size")
-    assert _semitotal_dominating_mask(g, chosen)
+    if not _semitotal_dominating_mask(g, chosen):
+        raise AssertionError(f"lexleast set {chosen:#x} is not semi-total dominating")
     return VertexSet(g.n, chosen)
 
 
@@ -370,11 +365,14 @@ def solve_bnb(g: Graph, kind: str) -> InvariantResult:
     _check_kind(kind)
     if kind == "rho":
         mask = _max_two_packing_bnb(g)
-        assert _two_packing_mask(g, mask)
+        valid = _two_packing_mask(g, mask)
     else:
         _check_isolate_free(g)
-        mask = _min_domination_bnb(g, kind)
-        assert _PREDICATES[kind](g, mask)
+        tables = _kernel_tables(g, kind)
+        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables))
+        valid = _PREDICATES[kind](g, mask)
+    if not valid:
+        raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")
     return InvariantResult(kind, mask.bit_count(), VertexSet(g.n, mask), "branch_and_bound")
 
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import semitotal
 from semitotal import (
     IsolateError,
     OracleLimitError,
@@ -18,6 +25,8 @@ from semitotal import (
     solve_bnb,
     solve_oracle,
 )
+from semitotal.solvers import _PREDICATES as MASK_PREDICATES
+from semitotal.solvers import _kernel_tables, _search_kernel
 
 PREDICATES = {
     "gamma": is_dominating,
@@ -236,6 +245,93 @@ def test_lexleast_matches_oracle_witness(g):
     if not g.is_isolate_free():
         return
     assert lexleast_min_semitotal_set(g) == solve_oracle(g, "gamma_t2").witness
+
+
+# Lexleast sets beyond the oracle's limit, pinned so that a solver change
+# cannot move them unnoticed.  They reach scan records through
+# bound_violation findings.
+PINNED_LEXLEAST = [
+    (("path", 6), ("path", 6), (0, 1, 3, 11, 14, 18, 22, 23, 26, 30, 34)),
+    (("cycle", 6), ("cycle", 6), (0, 2, 10, 13, 21, 23, 25, 34)),
+    (("path", 7), ("cycle", 7), (0, 1, 4, 11, 16, 20, 21, 25, 30, 40, 41, 43, 45)),
+]
+
+
+@pytest.mark.parametrize("left,right,expected", PINNED_LEXLEAST)
+def test_lexleast_pinned_beyond_oracle(left, right, expected):
+    from semitotal import cartesian_product
+
+    prod = cartesian_product(generate(*left), generate(*right)).graph
+    d = lexleast_min_semitotal_set(prod)
+    assert d.vertices() == expected
+    assert len(d) == solve_bnb(prod, "gamma_t2").value
+
+
+# The search kernel
+
+
+@st.composite
+def feasibility_probes(draw):
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    g = generate("random", n, p=p, seed=draw(st.integers(0, 5_000)))
+    assume(g.is_isolate_free())
+    full = (1 << n) - 1
+    chosen0 = draw(st.integers(0, full)) & draw(st.integers(0, full))
+    excluded0 = draw(st.integers(0, full)) & ~chosen0
+    budget = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["gamma", "gamma_t", "gamma_t2"]))
+    return g, kind, budget, chosen0, excluded0
+
+
+@given(feasibility_probes())
+@settings(max_examples=150, deadline=None)
+def test_budgeted_feasible_mode_matches_brute_force(probe):
+    g, kind, budget, chosen0, excluded0 = probe
+    predicate = MASK_PREDICATES[kind]
+    free = [v for v in range(g.n) if not (chosen0 | excluded0) >> v & 1]
+    expected = any(
+        predicate(g, chosen0 | sum(1 << v for v in extra))
+        for k in range(chosen0.bit_count(), budget + 1)
+        for extra in combinations(free, k - chosen0.bit_count())
+    )
+    mask = _search_kernel(
+        g, _kernel_tables(g, kind), budget=budget, chosen0=chosen0, excluded0=excluded0
+    )
+    assert (mask is not None) == expected
+    if mask is not None:
+        assert mask & chosen0 == chosen0
+        assert not mask & excluded0
+        assert mask.bit_count() <= budget
+        assert predicate(g, mask)
+
+
+def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
+    monkeypatch.setattr(semitotal.solvers, "_search_kernel", lambda g, tables, **kw: 1)
+    with pytest.raises(AssertionError, match="invalid gamma witness"):
+        solve_bnb(generate("path", 5), "gamma")
+
+
+def test_solve_bnb_witness_check_survives_optimize_flag():
+    # python -O strips assert statements; the witness check must not be one
+    src = str(Path(semitotal.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            f"{__file__}::test_solve_bnb_rejects_invalid_kernel_witness",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_solve_dispatcher():
