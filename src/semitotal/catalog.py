@@ -14,42 +14,20 @@ for the catalog; it is not a general isomorphism facility.
 from functools import lru_cache
 from itertools import permutations, product
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bfs_distances, _bits
 
 CATALOG_VERTEX_LIMIT = 8
-
-
-def _distance_rows(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    rows = []
-    for s in range(n):
-        row = [n + 1] * n  # n+1 stands in for unreachable; never occurs here
-        row[s] = 0
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            reached = 0
-            for v in _bits(frontier):
-                reached |= adj[v]
-            frontier = reached & ~seen
-            seen |= frontier
-            for v in _bits(frontier):
-                row[v] = d
-        rows.append(tuple(row))
-    return rows
 
 
 def _vertex_classes(n: int, adj: tuple[int, ...]) -> list[list[int]]:
     """Group vertices by an isomorphism-invariant signature, classes sorted."""
     deg = [adj[v].bit_count() for v in range(n)]
-    dist = _distance_rows(n, adj)
     sig = {}
     for v in range(n):
         key = (
             deg[v],
             tuple(sorted(deg[u] for u in _bits(adj[v]))),
-            tuple(sorted(dist[v])),
+            tuple(sorted(_bfs_distances(adj, n, v))),
         )
         sig.setdefault(key, []).append(v)
     return [sig[key] for key in sorted(sig)]

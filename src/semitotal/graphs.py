@@ -1,9 +1,9 @@
 """Bitset-backed immutable graphs: vertex sets, generators, distances, products.
 
 Graphs live on vertices 0..n-1 with adjacency stored as one integer bitmask
-per vertex.  All-pairs hop distances are computed eagerly at construction
-(every downstream predicate is distance-based and the graphs are small).
-Disconnected pairs carry the ``INF`` sentinel.
+per vertex.  Distance tests go through neighbourhood masks (``closed``,
+``ball2``); ``dist`` runs one breadth-first search per call, and disconnected
+pairs carry the ``INF`` sentinel.
 """
 
 import math
@@ -118,14 +118,14 @@ def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> tuple:
 
 
 class Graph:
-    """Simple undirected graph with eager all-pairs hop distances.
+    """Simple undirected graph stored as neighbourhood bitmasks.
 
     ``adj[v]`` is the open-neighborhood bitmask of vertex v and ``closed[v]``
-    the closed one.  Instances are immutable after construction and safe to
-    share across workers.
+    the closed one; the distance-2 balls are built on first use.  Instances
+    are immutable after construction and safe to share across workers.
     """
 
-    __slots__ = ("n", "adj", "closed", "_dist", "_ball2")
+    __slots__ = ("n", "adj", "closed", "_ball2")
 
     def __init__(self, n: int, adj: Iterable[int]):
         if n < 1:
@@ -146,15 +146,11 @@ class Graph:
         self.n = n
         self.adj = adj
         self.closed = tuple(adj[v] | (1 << v) for v in range(n))
-        self._dist = tuple(_bfs_distances(adj, n, s) for s in range(n))
         self._ball2 = None
 
     def dist(self, u: int, v: int):
-        """Hop distance between u and v (``INF`` when disconnected)."""
-        return self._dist[u][v]
-
-    def dist_row(self, u: int) -> tuple:
-        return self._dist[u]
+        """Hop distance between u and v (``INF`` when disconnected), by BFS."""
+        return _bfs_distances(self.adj, self.n, u)[v]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -11,7 +11,7 @@ factors, the product set, the cell partition) to replay outside the scan.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from math import ceil
 
@@ -30,7 +30,6 @@ from .proofs import (
 )
 from .solvers import (
     IsolateError,
-    OracleLimitError,
     lexleast_min_semitotal_set,
     solve_bnb,
 )
@@ -103,60 +102,35 @@ class InstanceRecord:
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {
-            "id": self.id,
-            "left_id": self.left_id,
-            "right_id": self.right_id,
-            "graph6_g": self.graph6_g,
-            "graph6_h": self.graph6_h,
-            "n_g": self.n_g,
-            "n_h": self.n_h,
-            "skipped": self.skipped,
-            "gamma_t2_G": self.gamma_t2_g,
-            "gamma_t2_H": self.gamma_t2_h,
-            "rho_G": self.rho_g,
-            "gamma_t2_prod": self.gamma_t2_prod,
-            "bound_thm1": self.bound_thm1,
-            "bound_thm2": self.bound_thm2,
-            "ratio_num": self.ratio_num,
-            "ratio_den": self.ratio_den,
-            "bound_thm1_ok": self.bound_thm1_ok,
-            "bound_thm2_ok": self.bound_thm2_ok,
-            "replay": dict(self.replay),
-            "claim2_cells_pass": self.claim2_cells_pass,
-            "claim2_cells_fail": self.claim2_cells_fail,
-            "findings": list(self.findings),
+            key: _CONTAINER_FIELDS[name](getattr(self, name))
+            if name in _CONTAINER_FIELDS
+            else getattr(self, name)
+            for name, key in _JSON_KEYS.items()
         }
-        if include_timing:
-            out["timing"] = dict(self.timing)
+        if not include_timing:
+            del out["timing"]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InstanceRecord":
-        return cls(
-            id=data["id"],
-            left_id=data["left_id"],
-            right_id=data["right_id"],
-            graph6_g=data["graph6_g"],
-            graph6_h=data["graph6_h"],
-            n_g=data["n_g"],
-            n_h=data["n_h"],
-            skipped=data.get("skipped"),
-            gamma_t2_g=data.get("gamma_t2_G"),
-            gamma_t2_h=data.get("gamma_t2_H"),
-            rho_g=data.get("rho_G"),
-            gamma_t2_prod=data.get("gamma_t2_prod"),
-            bound_thm1=data.get("bound_thm1"),
-            bound_thm2=data.get("bound_thm2"),
-            ratio_num=data.get("ratio_num"),
-            ratio_den=data.get("ratio_den"),
-            bound_thm1_ok=data.get("bound_thm1_ok"),
-            bound_thm2_ok=data.get("bound_thm2_ok"),
-            replay=dict(data.get("replay", {})),
-            claim2_cells_pass=data.get("claim2_cells_pass"),
-            claim2_cells_fail=data.get("claim2_cells_fail"),
-            findings=list(data.get("findings", [])),
-            timing=dict(data.get("timing", {})),
-        )
+        values = {}
+        for f in fields(cls):
+            key = _JSON_KEYS[f.name]
+            if f.default is MISSING and f.default_factory is MISSING:
+                values[f.name] = data[key]
+            elif f.name in _CONTAINER_FIELDS:
+                values[f.name] = _CONTAINER_FIELDS[f.name](data.get(key, ()))
+            else:
+                values[f.name] = data.get(key)
+        return cls(**values)
+
+
+# JSON key of each record field, in field order; fields without a default
+# are required when reading.  Container fields are copied both ways, and
+# read as empty when absent.
+_RENAMED_KEYS = {"gamma_t2_g": "gamma_t2_G", "gamma_t2_h": "gamma_t2_H", "rho_g": "rho_G"}
+_JSON_KEYS = {f.name: _RENAMED_KEYS.get(f.name, f.name) for f in fields(InstanceRecord)}
+_CONTAINER_FIELDS = {"replay": dict, "findings": list, "timing": dict}
 
 
 def _finding(
@@ -269,34 +243,20 @@ def verify_pair(
     try:
         ap = max_allied_set(g)
         pi = build_cell_partition(g, ap)
-    except (OracleLimitError, FalsificationError) as exc:
-        if isinstance(exc, FalsificationError):
-            record.findings.append(
-                _finding(
-                    "construction_failure",
-                    record.id,
-                    g6g,
-                    g6h,
-                    "build_cell_partition",
-                    sorted(d.vertices()),
-                    None,
-                    {"error": str(exc), **exc.context},
-                )
+    except FalsificationError as exc:
+        record.findings.append(
+            _finding(
+                "construction_failure",
+                record.id,
+                g6g,
+                g6h,
+                "build_cell_partition",
+                sorted(d.vertices()),
+                None,
+                {"error": str(exc), **exc.context},
             )
-            record.replay["pi_valid"] = "fail"
-        else:
-            record.findings.append(
-                _finding(
-                    "replay_unavailable",
-                    record.id,
-                    g6g,
-                    g6h,
-                    "max_allied_set",
-                    None,
-                    None,
-                    {"error": str(exc)},
-                )
-            )
+        )
+        record.replay["pi_valid"] = "fail"
         record.timing["replay"] = clock() - t
         return record
 

@@ -107,7 +107,8 @@ def max_allied_set(g: Graph) -> AlliedPartition:
         allied = sum(1 for v in _bits(u.mask) if g.adj[v] & u.mask)
         if allied > best_allied:
             best, best_allied = u, allied
-    assert best is not None
+    if best is None:
+        raise AssertionError("max_allied_set: the graph has no minimum semi-total dominating set")
     return allied_split(g, best)
 
 
@@ -159,7 +160,9 @@ def build_cell_partition(g: Graph, ap: AlliedPartition) -> CellPartition:
                 barred = False
                 for apos in allied_positions:
                     a = order[apos]
-                    if g.dist(a, owner) == 2 and g.adj[a] >> w & 1:
+                    # w neighbours both, so a and owner are at distance 2
+                    # unless adjacent
+                    if g.adj[a] >> w & 1 and not g.adj[a] >> owner & 1:
                         barred = True
                         break
                 if barred:
@@ -207,7 +210,7 @@ def cell_partition_violations(g: Graph, ap: AlliedPartition, pi: CellPartition) 
         a = order[i]
         for j in range(ell, len(order)):
             b = order[j]
-            if g.dist(a, b) == 2 and g.adj[a] & g.adj[b] & pi.cells[j].mask:
+            if not g.closed[a] >> b & 1 and g.adj[a] & g.adj[b] & pi.cells[j].mask:
                 problems.append(
                     f"distance-2 exclusion violated between allied {a} and free {b}"
                 )
@@ -315,7 +318,11 @@ def build_cover_index(
     row_counts = tuple(sum(1 for (i, v) in entries if i == row) for row in range(k))
     col_counts = tuple(sum(1 for (i, v) in entries if v == col) for col in range(n_h))
     total = len(entries)
-    assert sum(row_counts) == sum(col_counts) == total
+    if not sum(row_counts) == sum(col_counts) == total:
+        raise AssertionError(
+            f"cover index counts disagree: rows {sum(row_counts)}, "
+            f"columns {sum(col_counts)}, entries {total}"
+        )
     return CoverIndex(
         entries=frozenset(entries),
         row_counts=row_counts,
@@ -380,10 +387,9 @@ def build_column_witness(
         owner = order[j]
         if (j, v) not in cover.entries:
             continue
-        near_free = any(
-            u != owner and g.dist(owner, u) == 2 for u in _bits(ap.free.mask)
-        )
-        far_from_allied = all(g.dist(owner, a) >= 3 for a in _bits(ap.allied.mask))
+        ball = g.ball2(owner)
+        near_free = ball & ~g.closed[owner] & ap.free.mask
+        far_from_allied = not ball & ap.allied.mask
         if near_free and far_from_allied:
             witness |= 1 << owner
     return VertexSet(g.n, witness)
@@ -485,17 +491,20 @@ def build_connector_set(h: Graph, profile: CellProfile) -> ConnectorResult:
     for ai in range(len(uncovered)):
         for bi in range(ai + 1, len(uncovered)):
             x, y = uncovered[ai], uncovered[bi]
-            if h.dist(x, y) != 3:
-                continue
+            ball_x = h.ball2(x)
+            if ball_x >> y & 1 or not ball_x & h.closed[y]:
+                continue  # not at distance exactly 3
             rx, ry = find(x), find(y)
             if rx == ry:
                 continue
             parent[rx] = ry
-            for z in range(h.n):
-                if h.dist(z, x) <= 2 and h.dist(z, y) <= 2:
-                    connectors |= 1 << z
-                    break
-    assert connectors.bit_count() <= max(len(uncovered) - 1, 0)
+            midpoints = ball_x & h.ball2(y)
+            connectors |= midpoints & -midpoints  # least-index midpoint
+    if connectors.bit_count() > max(len(uncovered) - 1, 0):
+        raise AssertionError(
+            f"cell {profile.index}: {connectors.bit_count()} connectors for "
+            f"{len(uncovered)} uncovered heights"
+        )
     base = profile.missing.mask | profile.projection.mask | connectors
     valid = _semitotal_dominating_mask(h, base)
     return ConnectorResult(

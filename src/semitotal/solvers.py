@@ -8,9 +8,10 @@ run.  Witnesses always validate under the matching predicate; the oracle's
 witness is the lexicographically least optimal set.
 
 One branch-and-bound kernel serves gamma, gamma_t and gamma_t2: it optimises
-from a greedy incumbent for ``solve_bnb`` and answers budgeted feasibility
-probes for ``lexleast_min_semitotal_set``, pruning with the degree bound and
-a disjoint-candidate bound.  The packing number has its own search.
+from a greedy incumbent for ``solve_bnb``, answers budgeted feasibility
+probes for ``lexleast_min_semitotal_set`` and collects every minimum set for
+``enumerate_min_semitotal_sets``, pruning with the degree bound and a
+disjoint-candidate bound.  The packing number has its own search.
 """
 
 from dataclasses import dataclass
@@ -153,16 +154,20 @@ def solve_oracle(g: Graph, kind: str) -> InvariantResult:
 
 
 def enumerate_min_semitotal_sets(g: Graph) -> list[VertexSet]:
-    """All minimum semi-total dominating sets, in lexicographic order."""
-    value = solve_oracle(g, "gamma_t2").value
-    out = []
-    for combo in combinations(range(g.n), value):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _semitotal_dominating_mask(g, mask):
-            out.append(VertexSet(g.n, mask))
-    return out
+    """All minimum semi-total dominating sets, in lexicographic order.
+
+    The search kernel collects every set within budget gamma_t2: each branch
+    splits the sets by the first candidate they contain, so every minimum set
+    is reached exactly once.  There is no size guard; the callers' product
+    caps bound the factors it sees.
+    """
+    value = solve_bnb(g, "gamma_t2").value
+    found: list[int] = []
+    _search_kernel(g, _kernel_tables(g, "gamma_t2"), budget=value, collect=found)
+    for mask in found:
+        if mask.bit_count() != value or not _semitotal_dominating_mask(g, mask):
+            raise AssertionError(f"enumeration returned an invalid minimum set {mask:#x}")
+    return sorted((VertexSet(g.n, mask) for mask in found), key=VertexSet.vertices)
 
 
 def _kernel_tables(g: Graph, kind: str) -> tuple:
@@ -215,13 +220,16 @@ def _search_kernel(
     budget: int = 0,
     chosen0: int = 0,
     excluded0: int = 0,
+    collect: list | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
     Searches the sets that contain ``chosen0`` and avoid ``excluded0``.  Two
     modes: *optimise* (``incumbent`` given) returns a minimum set, or the
     incumbent when nothing smaller exists; *budgeted-feasible* returns the
-    first set of at most ``budget`` vertices, or None.
+    first set of at most ``budget`` vertices, or None.  With ``collect`` given,
+    budgeted-feasible mode appends each set it reaches and searches on; at
+    budget gamma_t2 these are exactly the minimum sets.
 
     Branches on the uncovered vertex with the fewest candidate dominators,
     candidates by degree descending.  Lower bounds on the members still
@@ -267,6 +275,9 @@ def _search_kernel(
                         break
             if lonely < 0:
                 if size >= best_size:
+                    return False
+                if collect is not None:
+                    collect.append(chosen)
                     return False
                 best, best_size = chosen, size
                 return first

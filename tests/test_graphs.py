@@ -15,6 +15,7 @@ from semitotal import (
     is_isolate_free,
     open_neighborhood,
 )
+from semitotal.graphs import PRODUCT_SIZE_CAP
 
 
 def test_from_edge_list_p2():
@@ -183,6 +184,15 @@ def test_product_size_cap():
     g = generate("complete", 10)
     with pytest.raises(ValueError, match="cap"):
         cartesian_product(g, g, size_cap=50)
+
+
+def test_product_builds_at_size_cap():
+    # no all-pairs table is built, so the largest allowed product is cheap
+    p64 = generate("path", 64)
+    prod = cartesian_product(p64, p64)
+    assert prod.graph.n == PRODUCT_SIZE_CAP
+    assert prod.graph.edge_count == 2 * 64 * 63
+    assert prod.graph.dist(0, PRODUCT_SIZE_CAP - 1) == 126
 
 
 def test_product_adjacency_rule():

@@ -14,6 +14,7 @@ from semitotal import (
     summarize,
     verify_pair,
 )
+from semitotal.harness import REPLAY_CHECKS
 from semitotal.io import FamilySpec, comparison_form, parse_pair_spec
 
 
@@ -62,6 +63,15 @@ def test_verify_pair_size_cap_skip():
     assert record.gamma_t2_prod is None
     record2 = verify_pair(g, g, options(replay=False))  # 49 <= 49
     assert record2.skipped is None
+
+
+def test_verify_pair_replays_beyond_oracle_limit():
+    # a 21-vertex left factor: the maximum allied set comes from the search
+    # kernel, not the 20-vertex enumeration oracle
+    record = verify_pair(generate("star", 21), generate("path", 2), options(product_cap=42))
+    assert record.skipped is None
+    assert record.replay == {c: "pass" for c in REPLAY_CHECKS}
+    assert record.findings == []
 
 
 def test_packing_bound_counterexample_confirmed_by_oracle():

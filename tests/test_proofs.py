@@ -1,5 +1,6 @@
 import pytest
 
+import semitotal
 from semitotal import (
     VertexSet,
     allied_split,
@@ -93,6 +94,27 @@ def test_max_allied_triangle_with_pendants():
     ap = max_allied_set(g)
     assert ap.members == vs(6, 0, 1, 2)
     assert ap.allied_count == 3 and ap.free_count == 0
+
+
+# Pinned by brute force over all 9-subsets; both lie beyond the 20-vertex
+# enumeration oracle.
+@pytest.mark.parametrize(
+    "family,n,order,allied",
+    [
+        ("cycle", 21, (0, 1, 3, 6, 8, 11, 13, 16, 18), (0, 1)),
+        ("path", 22, (1, 3, 5, 8, 10, 13, 15, 18, 20), ()),
+    ],
+)
+def test_max_allied_pinned_beyond_oracle(family, n, order, allied):
+    ap = max_allied_set(generate(family, n))
+    assert ap.order == order
+    assert ap.allied.vertices() == allied
+
+
+def test_max_allied_set_rejects_empty_set_list(monkeypatch):
+    monkeypatch.setattr(semitotal.proofs, "enumerate_min_semitotal_sets", lambda g: [])
+    with pytest.raises(AssertionError, match="no minimum semi-total dominating set"):
+        max_allied_set(generate("path", 4))
 
 
 # Cell partition

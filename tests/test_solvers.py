@@ -239,6 +239,27 @@ def test_enumerate_min_c6_members():
     assert sets == sorted(sets, key=lambda s: s.vertices())
 
 
+@st.composite
+def isolate_free_graphs(draw):
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    g = generate("random", n, p=p, seed=draw(st.integers(0, 5_000)))
+    assume(g.is_isolate_free())
+    return g
+
+
+@given(isolate_free_graphs())
+@settings(max_examples=80, deadline=None)
+def test_enumerate_min_matches_brute_force(g):
+    value = solve_oracle(g, "gamma_t2").value
+    expected = [
+        VertexSet.from_vertices(g.n, combo)
+        for combo in combinations(range(g.n), value)
+        if is_semitotal_dominating(g, VertexSet.from_vertices(g.n, combo))
+    ]
+    assert enumerate_min_semitotal_sets(g) == expected  # same order, no duplicates
+
+
 @given(random_graphs)
 @settings(max_examples=40, deadline=None)
 def test_lexleast_matches_oracle_witness(g):
@@ -272,10 +293,8 @@ def test_lexleast_pinned_beyond_oracle(left, right, expected):
 
 @st.composite
 def feasibility_probes(draw):
-    n = draw(st.integers(2, 9))
-    p = draw(st.sampled_from([0.3, 0.5, 0.7]))
-    g = generate("random", n, p=p, seed=draw(st.integers(0, 5_000)))
-    assume(g.is_isolate_free())
+    g = draw(isolate_free_graphs())
+    n = g.n
     full = (1 << n) - 1
     chosen0 = draw(st.integers(0, full)) & draw(st.integers(0, full))
     excluded0 = draw(st.integers(0, full)) & ~chosen0
@@ -313,8 +332,10 @@ def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
 
 
 def test_solve_bnb_witness_check_survives_optimize_flag():
-    # python -O strips assert statements; the witness check must not be one
+    # python -O strips assert statements; the witness check and the check on
+    # max_allied_set's set list must not be ones
     src = str(Path(semitotal.__file__).resolve().parent.parent)
+    proofs_test = Path(__file__).with_name("test_proofs.py")
     proc = subprocess.run(
         [
             sys.executable,
@@ -325,13 +346,14 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
             "-p",
             "no:cacheprovider",
             f"{__file__}::test_solve_bnb_rejects_invalid_kernel_witness",
+            f"{proofs_test}::test_max_allied_set_rejects_empty_set_list",
         ],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_solve_dispatcher():
