@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil
 
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import Graph, cartesian_product
+from .graphs import INF, Graph, _bfs_distances, cartesian_product
 from .proofs import (
     FalsificationError,
     build_cell_partition,
@@ -161,6 +161,16 @@ def _status(ok: bool | None) -> str:
     return "pass" if ok else "fail"
 
 
+def _cycle_or_complete(g: Graph) -> bool:
+    """True when g is complete or a cycle (connected and 2-regular).  Both
+    are vertex-transitive, and so is a Cartesian product of two of them."""
+    full = (1 << g.n) - 1
+    if all(row == full for row in g.closed):
+        return True
+    regular2 = all(row.bit_count() == 2 for row in g.adj)
+    return regular2 and INF not in _bfs_distances(g.adj, g.n, 0)
+
+
 def verify_pair(
     g: Graph,
     h: Graph,
@@ -202,7 +212,8 @@ def verify_pair(
 
     t = clock()
     prod = cartesian_product(g, h)
-    d = lexleast_min_semitotal_set(prod.graph)
+    transitive = _cycle_or_complete(g) and _cycle_or_complete(h)
+    d = lexleast_min_semitotal_set(prod.graph, transitive=transitive)
     record.gamma_t2_prod = len(d)
     record.timing["solve_prod"] = clock() - t
 

@@ -84,6 +84,11 @@ def allied_split(g: Graph, u: VertexSet) -> AlliedPartition:
         raise ValueError(
             f"allied_split: set of size {len(u)} is not minimum (gamma_t2 = {minimum})"
         )
+    return _allied_partition(g, u)
+
+
+def _allied_partition(g: Graph, u: VertexSet) -> AlliedPartition:
+    """The split of ``allied_split``, for a set already known to be minimum."""
     allied_mask = 0
     for v in _bits(u.mask):
         if g.adj[v] & u.mask:
@@ -100,7 +105,9 @@ def allied_split(g: Graph, u: VertexSet) -> AlliedPartition:
 
 def max_allied_set(g: Graph) -> AlliedPartition:
     """Over all minimum semi-total dominating sets, the one with the largest
-    allied part; ties go to the lexicographically least set."""
+    allied part; ties go to the lexicographically least set.  The
+    enumeration has checked every set, so the split skips ``allied_split``'s
+    checks."""
     best = None
     best_allied = -1
     for u in enumerate_min_semitotal_sets(g):
@@ -109,7 +116,7 @@ def max_allied_set(g: Graph) -> AlliedPartition:
             best, best_allied = u, allied
     if best is None:
         raise AssertionError("max_allied_set: the graph has no minimum semi-total dominating set")
-    return allied_split(g, best)
+    return _allied_partition(g, best)
 
 
 @dataclass(frozen=True)

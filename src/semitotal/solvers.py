@@ -10,8 +10,15 @@ witness is the lexicographically least optimal set.
 One branch-and-bound kernel serves gamma, gamma_t and gamma_t2: it optimises
 from a greedy incumbent for ``solve_bnb``, answers budgeted feasibility
 probes for ``lexleast_min_semitotal_set`` and collects every minimum set for
-``enumerate_min_semitotal_sets``, pruning with the degree bound and a
-disjoint-candidate bound.  The packing number has its own search.
+``enumerate_min_semitotal_sets``, pruning with a counting bound and a
+disjoint-candidate bound.  The counting bound knows each invariant's cover
+rows: a gamma member covers at most max degree + 1 vertices, a gamma_t member
+at most max degree, and a gamma_t2 member at most max degree + 1/2 on
+average, because members come with partners within distance 2 whose closed
+neighbourhoods meet theirs.  On a vertex-transitive graph the caller may fix
+vertex 0 at the root (``transitive=True``), since an automorphism moves some
+minimum set onto one that contains it.  The packing number has its own
+search.
 """
 
 from dataclasses import dataclass
@@ -173,11 +180,15 @@ def enumerate_min_semitotal_sets(g: Graph) -> list[VertexSet]:
 def _kernel_tables(g: Graph, kind: str) -> tuple:
     """Per-graph tables of the search kernel, built once per solver call:
     cover rows, partner balls B2(v) minus v (gamma_t2 only), negated degrees
-    (the branching order) and max degree + 1."""
+    (the branching order) and the counting bound's ratio (num, den): each
+    member still to add covers at most den/num uncovered vertices on average
+    (see ``_search_kernel``)."""
     cover = g.adj if kind == "gamma_t" else g.closed
     ball2x = [g.ball2(v) & ~(1 << v) for v in range(g.n)] if kind == "gamma_t2" else None
     negdeg = [-g.degree(v) for v in range(g.n)]
-    return cover, ball2x, negdeg, 1 - min(negdeg)
+    delta = -min(negdeg)
+    ratio = {"gamma": (1, delta + 1), "gamma_t": (1, delta), "gamma_t2": (2, 2 * delta + 1)}
+    return cover, ball2x, negdeg, ratio[kind]
 
 
 def _greedy_domination(g: Graph, tables: tuple) -> int:
@@ -232,14 +243,31 @@ def _search_kernel(
     budget gamma_t2 these are exactly the minimum sets.
 
     Branches on the uncovered vertex with the fewest candidate dominators,
-    candidates by degree descending.  Lower bounds on the members still
-    needed: ceil(uncovered / (max degree + 1)), and the number of uncovered
-    vertices with pairwise disjoint candidate sets, collected greedily in the
-    scan that picks the branching vertex (each needs its own member).
+    candidates by degree descending.  Two lower bounds on the members still
+    needed: the number of uncovered vertices with pairwise disjoint candidate
+    sets, collected greedily in the scan that picks the branching vertex
+    (each needs its own member), and the counting bound
+    ceil(uncovered * num / den) with the table's (num, den).  For gamma a
+    member covers at most max degree + 1 = den vertices, for gamma_t (open
+    rows) at most max degree = den.
+
+    For gamma_t2, (num, den) = (2, 2 max degree + 1).  Let F be the members
+    still to add, U the uncovered vertices and D the max degree.  Give each f
+    in F a partner p(f) within distance 2, so N[f] and N[p(f)] meet.  Add F
+    in BFS order over the partner graph, starting from the chosen members.
+    An f whose partner is already present shares a vertex with a closed
+    neighbourhood that is covered or already counted, so it adds at most D
+    vertices of U.  Only the first vertex of a component of F alone can add
+    D + 1, and each such component has at least two members, so
+    |U| <= D|F| + |F|/2, that is |F| >= 2|U| / (2D + 1).
+
+    The bounds only prune and never reorder the search, so the incumbent
+    sequence, the first feasible leaf and the collected sets do not depend
+    on how strong they are.
     """
     n = g.n
     full = (1 << n) - 1
-    cover, ball2x, negdeg, delta1 = tables
+    cover, ball2x, negdeg, (num, den) = tables
     first = incumbent is None
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
@@ -248,7 +276,7 @@ def _search_kernel(
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
-            bound = (uncovered.bit_count() + delta1 - 1) // delta1
+            bound = (uncovered.bit_count() * num + den - 1) // den
             if size + bound >= best_size:
                 return False
             avail, branch_count, used, disjoint = 0, n + 1, 0, 0
@@ -301,16 +329,17 @@ def _search_kernel(
     return best
 
 
-def lexleast_min_semitotal_set(g: Graph) -> VertexSet:
+def lexleast_min_semitotal_set(g: Graph, *, transitive: bool = False) -> VertexSet:
     """The lexicographically least minimum semi-total dominating set.
 
     Canonical replay witness: agrees with the oracle's witness wherever the
     oracle runs, without the oracle's size guard.  Built by locking vertices
     in ascending order against budgeted-feasible searches; a probe that the
-    current witness already answers is not searched.
+    current witness already answers is not searched.  ``transitive`` is
+    passed to the initial ``solve_bnb``; the set does not depend on it.
     """
     _check_isolate_free(g)
-    witness = solve_bnb(g, "gamma_t2").witness.mask
+    witness = solve_bnb(g, "gamma_t2", transitive=transitive).witness.mask
     value = witness.bit_count()
     tables = _kernel_tables(g, "gamma_t2")
     chosen = 0
@@ -371,8 +400,18 @@ def _max_two_packing_bnb(g: Graph) -> int:
     return best_mask
 
 
-def solve_bnb(g: Graph, kind: str) -> InvariantResult:
-    """Fast exact solver; value always matches the oracle, witness validates."""
+def solve_bnb(g: Graph, kind: str, *, transitive: bool = False) -> InvariantResult:
+    """Fast exact solver; value always matches the oracle, witness validates.
+
+    ``transitive=True`` promises that g is vertex-transitive: the domination
+    kinds then search only the sets that contain vertex 0, which holds the
+    value, since an automorphism maps any minimum set onto one containing 0.
+    For gamma and gamma_t2 the witness is the unflagged one too: a
+    vertex-transitive graph is regular, so the unflagged search branches
+    first on vertex 0 joining the set, that branch is the flagged search,
+    and the later branches cannot beat a minimum set.  The flag is ignored
+    for rho.
+    """
     _check_kind(kind)
     if kind == "rho":
         mask = _max_two_packing_bnb(g)
@@ -380,7 +419,8 @@ def solve_bnb(g: Graph, kind: str) -> InvariantResult:
     else:
         _check_isolate_free(g)
         tables = _kernel_tables(g, kind)
-        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables))
+        root = 1 if transitive else 0  # vertex 0 forced into the set
+        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables), chosen0=root)
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")

@@ -14,7 +14,7 @@ from semitotal import (
     summarize,
     verify_pair,
 )
-from semitotal.harness import REPLAY_CHECKS
+from semitotal.harness import REPLAY_CHECKS, _cycle_or_complete
 from semitotal.io import FamilySpec, comparison_form, parse_pair_spec
 
 
@@ -72,6 +72,44 @@ def test_verify_pair_replays_beyond_oracle_limit():
     assert record.skipped is None
     assert record.replay == {c: "pass" for c in REPLAY_CHECKS}
     assert record.findings == []
+
+
+@pytest.mark.parametrize(
+    "family,n,expected",
+    [
+        ("cycle", 3, True),
+        ("cycle", 8, True),
+        ("complete", 9, True),
+        ("complete", 5, True),
+        ("path", 2, True),
+        ("path", 3, False),
+        ("star", 4, False),
+    ],
+)
+def test_cycle_or_complete_factor_check(family, n, expected):
+    assert _cycle_or_complete(generate(family, n)) is expected
+
+
+def test_factor_check_rejects_disconnected_two_regular():
+    # C3 and C4 side by side: 2-regular but not vertex-transitive
+    c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert not _cycle_or_complete(c3_c4)
+
+
+def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
+    import semitotal.harness
+
+    seen = []
+    lexleast = semitotal.harness.lexleast_min_semitotal_set
+
+    def spy(g, **kw):
+        seen.append(kw["transitive"])
+        return lexleast(g, **kw)
+
+    monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy)
+    for left, right in [(("cycle", 5), ("complete", 3)), (("cycle", 5), ("path", 3))]:
+        verify_pair(generate(*left), generate(*right), options(replay=False))
+    assert seen == [True, False]
 
 
 def test_packing_bound_counterexample_confirmed_by_oracle():

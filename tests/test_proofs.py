@@ -111,6 +111,18 @@ def test_max_allied_pinned_beyond_oracle(family, n, order, allied):
     assert ap.allied.vertices() == allied
 
 
+def test_max_allied_set_solves_no_extra_gamma_t2(monkeypatch):
+    # the enumeration has checked every set, so the split does not solve
+    # gamma_t2 again; a direct allied_split still does
+    def refuse(g, kind):
+        raise AssertionError("solve_bnb reached from the split")
+
+    monkeypatch.setattr(semitotal.proofs, "solve_bnb", refuse)
+    assert max_allied_set(generate("cycle", 6)).order == (0, 1, 3)
+    with pytest.raises(AssertionError, match="reached from the split"):
+        allied_split(generate("cycle", 6), vs(6, 0, 1, 3))
+
+
 def test_max_allied_set_rejects_empty_set_list(monkeypatch):
     monkeypatch.setattr(semitotal.proofs, "enumerate_min_semitotal_sets", lambda g: [])
     with pytest.raises(AssertionError, match="no minimum semi-total dominating set"):

@@ -325,6 +325,106 @@ def test_budgeted_feasible_mode_matches_brute_force(probe):
         assert predicate(g, mask)
 
 
+@given(isolate_free_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_budget_is_tight(g, data):
+    # m is the brute-force minimum completion of chosen0 avoiding excluded0:
+    # the kernel must find a set at budget m and none at m - 1, so a lower
+    # bound that overshoots by one fails here
+    full = (1 << g.n) - 1
+    chosen0 = data.draw(st.integers(0, full)) & data.draw(st.integers(0, full))
+    excluded0 = data.draw(st.integers(0, full)) & data.draw(st.integers(0, full)) & ~chosen0
+    free = [v for v in range(g.n) if not (chosen0 | excluded0) >> v & 1]
+    for kind in ("gamma", "gamma_t", "gamma_t2"):
+        predicate = MASK_PREDICATES[kind]
+        m = next(
+            (
+                chosen0.bit_count() + k
+                for k in range(len(free) + 1)
+                for extra in combinations(free, k)
+                if predicate(g, chosen0 | sum(1 << v for v in extra))
+            ),
+            None,
+        )
+        tables = _kernel_tables(g, kind)
+
+        def probe(budget):
+            return _search_kernel(g, tables, budget=budget, chosen0=chosen0, excluded0=excluded0)
+
+        if m is None:
+            assert probe(g.n) is None
+            continue
+        found = probe(m)
+        assert found is not None and found.bit_count() == m and predicate(g, found), kind
+        assert probe(m - 1) is None, kind
+
+
+def _cycle_complete_products(max_order):
+    factors = [("cycle", n) for n in range(3, 15)] + [("complete", n) for n in range(2, 22)]
+    return [(a, b) for a in factors for b in factors if a[1] * b[1] <= max_order]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [_cycle_complete_products(42), [(("cycle", 7), ("cycle", 7))]],
+    ids=["up_to_42_vertices", "C7xC7"],
+)
+def test_transitive_root_keeps_results(monkeypatch, pairs):
+    # solve_bnb is recorded as lexleast calls it, so each product is solved
+    # once per flag
+    from semitotal import cartesian_product
+
+    calls = []
+    original = semitotal.solvers.solve_bnb
+
+    def record(g, kind, **kw):
+        calls.append((kw.get("transitive", False), original(g, kind, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(semitotal.solvers, "solve_bnb", record)
+    for left, right in pairs:
+        prod = cartesian_product(generate(*left), generate(*right)).graph
+        calls.clear()
+        plain = lexleast_min_semitotal_set(prod)
+        fixed = lexleast_min_semitotal_set(prod, transitive=True)
+        assert plain == fixed, (left, right)
+        (flag0, result0), (flag1, result1) = calls
+        assert (flag0, flag1) == (False, True) and result0 == result1, (left, right)
+
+
+def _search_calls(fn, *args):
+    """Calls of the kernel's ``search`` closure during fn(*args), counted
+    with a profile hook."""
+    code = _search_kernel.__code__
+    search = next(c for c in code.co_consts if getattr(c, "co_name", None) == "search")
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is search:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize(
+    "left,right,ceiling",
+    [(("path", 6), ("path", 6), 8_994), (("cycle", 7), ("path", 6), 11_744)],
+)
+def test_lexleast_search_node_ceiling(left, right, ceiling):
+    # deterministic performance guard: node counts of the partner-aware
+    # counting bound (the degree bound alone visits 9,786 and 15,495)
+    from semitotal import cartesian_product
+
+    prod = cartesian_product(generate(*left), generate(*right)).graph
+    assert _search_calls(lexleast_min_semitotal_set, prod) <= ceiling
+
+
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
     monkeypatch.setattr(semitotal.solvers, "_search_kernel", lambda g, tables, **kw: 1)
     with pytest.raises(AssertionError, match="invalid gamma witness"):
