@@ -103,14 +103,15 @@ def _allied_partition(g: Graph, u: VertexSet) -> AlliedPartition:
     )
 
 
-def max_allied_set(g: Graph) -> AlliedPartition:
+def max_allied_set(g: Graph, *, gamma_t2: int | None = None) -> AlliedPartition:
     """Over all minimum semi-total dominating sets, the one with the largest
     allied part; ties go to the lexicographically least set.  The
     enumeration has checked every set, so the split skips ``allied_split``'s
-    checks."""
+    checks.  ``gamma_t2``, when the caller knows it, is passed on to
+    ``enumerate_min_semitotal_sets``."""
     best = None
     best_allied = -1
-    for u in enumerate_min_semitotal_sets(g):
+    for u in enumerate_min_semitotal_sets(g, gamma_t2=gamma_t2):
         allied = sum(1 for v in _bits(u.mask) if g.adj[v] & u.mask)
         if allied > best_allied:
             best, best_allied = u, allied

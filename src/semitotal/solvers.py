@@ -160,15 +160,16 @@ def solve_oracle(g: Graph, kind: str) -> InvariantResult:
     raise AssertionError("unreachable: the whole vertex set always qualifies")
 
 
-def enumerate_min_semitotal_sets(g: Graph) -> list[VertexSet]:
+def enumerate_min_semitotal_sets(g: Graph, *, gamma_t2: int | None = None) -> list[VertexSet]:
     """All minimum semi-total dominating sets, in lexicographic order.
 
     The search kernel collects every set within budget gamma_t2: each branch
     splits the sets by the first candidate they contain, so every minimum set
-    is reached exactly once.  There is no size guard; the callers' product
-    caps bound the factors it sees.
+    is reached exactly once.  A caller that has solved gamma_t2(g) passes it
+    as ``gamma_t2``; otherwise it is solved here.  There is no size guard;
+    the callers' product caps bound the factors it sees.
     """
-    value = solve_bnb(g, "gamma_t2").value
+    value = solve_bnb(g, "gamma_t2").value if gamma_t2 is None else gamma_t2
     found: list[int] = []
     _search_kernel(g, _kernel_tables(g, "gamma_t2"), budget=value, collect=found)
     for mask in found:
@@ -329,17 +330,25 @@ def _search_kernel(
     return best
 
 
-def lexleast_min_semitotal_set(g: Graph, *, transitive: bool = False) -> VertexSet:
+def lexleast_min_semitotal_set(
+    g: Graph, *, transitive: bool = False, minimum: VertexSet | None = None
+) -> VertexSet:
     """The lexicographically least minimum semi-total dominating set.
 
     Canonical replay witness: agrees with the oracle's witness wherever the
     oracle runs, without the oracle's size guard.  Built by locking vertices
     in ascending order against budgeted-feasible searches; a probe that the
-    current witness already answers is not searched.  ``transitive`` is
-    passed to the initial ``solve_bnb``; the set does not depend on it.
+    current witness already answers is not searched.  The first witness is
+    ``minimum``, a minimum semi-total dominating set the caller has solved
+    for, or else the witness of ``solve_bnb``, to which ``transitive`` is
+    passed; the set does not depend on either.
     """
     _check_isolate_free(g)
-    witness = solve_bnb(g, "gamma_t2", transitive=transitive).witness.mask
+    if minimum is None:
+        minimum = solve_bnb(g, "gamma_t2", transitive=transitive).witness
+    elif not _semitotal_dominating_mask(g, minimum.mask):
+        raise AssertionError(f"starting set {minimum.mask:#x} is not semi-total dominating")
+    witness = minimum.mask
     value = witness.bit_count()
     tables = _kernel_tables(g, "gamma_t2")
     chosen = 0

@@ -99,17 +99,81 @@ def test_factor_check_rejects_disconnected_two_regular():
 def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
     import semitotal.harness
 
+    pairs = [(("cycle", 5), ("complete", 3)), (("cycle", 5), ("path", 3))]
+    # replay off: the product's value comes from solve_bnb
     seen = []
+    solve = semitotal.harness.solve_bnb
+
+    def spy_solve(g, kind, **kw):
+        if g.n == 15:  # the product, not a factor
+            seen.append(kw.get("transitive", False))
+        return solve(g, kind, **kw)
+
+    monkeypatch.setattr(semitotal.harness, "solve_bnb", spy_solve)
+    for left, right in pairs:
+        verify_pair(generate(*left), generate(*right), options(replay=False))
+    assert seen == [True, False]
+
+    # replay on: the product is solved once, by lexleast
+    seen.clear()
     lexleast = semitotal.harness.lexleast_min_semitotal_set
 
-    def spy(g, **kw):
+    def spy_lexleast(g, **kw):
         seen.append(kw["transitive"])
         return lexleast(g, **kw)
 
-    monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy)
-    for left, right in [(("cycle", 5), ("complete", 3)), (("cycle", 5), ("path", 3))]:
-        verify_pair(generate(*left), generate(*right), options(replay=False))
+    monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy_lexleast)
+    for left, right in pairs:
+        verify_pair(generate(*left), generate(*right), options())
     assert seen == [True, False]
+
+
+def test_verify_pair_builds_lexleast_only_for_findings(monkeypatch):
+    import semitotal.harness
+    from semitotal import cartesian_product, solve_oracle
+
+    calls = []
+    lexleast = semitotal.harness.lexleast_min_semitotal_set
+
+    def spy(g, **kw):
+        calls.append(g.n)
+        return lexleast(g, **kw)
+
+    monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy)
+    p2 = generate("path", 2)
+    violating = []
+    for n in range(2, 8):
+        calls.clear()
+        g = generate("path", n)
+        record = verify_pair(g, p2, options(replay=False))
+        violations = [f for f in record.findings if f["kind"] == "bound_violation"]
+        assert calls == ([2 * n] if violations else [])
+        if violations:
+            violating.append(n)
+            witness = solve_oracle(cartesian_product(g, p2).graph, "gamma_t2").witness
+            assert all(f["d"] == list(witness.vertices()) for f in violations)
+    assert violating == [4, 7]
+
+
+def test_replayed_pair_solves_left_gamma_t2_once(monkeypatch):
+    import semitotal.harness
+    import semitotal.proofs
+    import semitotal.solvers
+
+    g, h = generate("cycle", 5), generate("path", 4)
+    calls = []
+    solve = semitotal.solvers.solve_bnb
+
+    def spy(graph, kind, **kw):
+        if graph is g and kind == "gamma_t2":
+            calls.append(kind)
+        return solve(graph, kind, **kw)
+
+    for module in (semitotal.harness, semitotal.proofs, semitotal.solvers):
+        monkeypatch.setattr(module, "solve_bnb", spy)
+    record = verify_pair(g, h, options())
+    assert record.replay == {c: "pass" for c in REPLAY_CHECKS}
+    assert calls == ["gamma_t2"]
 
 
 def test_packing_bound_counterexample_confirmed_by_oracle():

@@ -124,7 +124,7 @@ def test_max_allied_set_solves_no_extra_gamma_t2(monkeypatch):
 
 
 def test_max_allied_set_rejects_empty_set_list(monkeypatch):
-    monkeypatch.setattr(semitotal.proofs, "enumerate_min_semitotal_sets", lambda g: [])
+    monkeypatch.setattr(semitotal.proofs, "enumerate_min_semitotal_sets", lambda g, **kw: [])
     with pytest.raises(AssertionError, match="no minimum semi-total dominating set"):
         max_allied_set(generate("path", 4))
 

@@ -268,6 +268,18 @@ def test_lexleast_matches_oracle_witness(g):
     assert lexleast_min_semitotal_set(g) == solve_oracle(g, "gamma_t2").witness
 
 
+@given(isolate_free_graphs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_lexleast_does_not_depend_on_starting_set(g, data):
+    minimum = data.draw(st.sampled_from(enumerate_min_semitotal_sets(g)))
+    assert lexleast_min_semitotal_set(g, minimum=minimum) == lexleast_min_semitotal_set(g)
+
+
+def test_lexleast_rejects_invalid_starting_set():
+    with pytest.raises(AssertionError, match="starting set"):
+        lexleast_min_semitotal_set(generate("path", 4), minimum=vs(4, 0, 1))
+
+
 # Lexleast sets beyond the oracle's limit, pinned so that a solver change
 # cannot move them unnoticed.  They reach scan records through
 # bound_violation findings.
@@ -485,3 +497,47 @@ def test_third_bound_holds_on_random_factor_pairs(g, h):
     kh = solve_bnb(h, "gamma_t2").value
     kp = solve_bnb(cartesian_product(g, h).graph, "gamma_t2").value
     assert 3 * kp >= kg * kh
+
+
+def _milp_gamma_t2(adj: list[set[int]]) -> int:
+    """gamma_t2 as a 0/1 program: every closed neighbourhood holds a member,
+    and every member has another member within distance 2."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(adj)
+    closed = [adj[v] | {v} for v in range(n)]
+    rows = np.zeros((2 * n, n))
+    for v in range(n):
+        rows[v, list(closed[v])] = 1
+        partners = set().union(*(closed[u] for u in closed[v])) - {v}
+        rows[n + v, list(partners)] = 1
+        rows[n + v, v] = -1
+    lower = [1] * n + [0] * n
+    res = milp(
+        c=np.ones(n),
+        constraints=LinearConstraint(rows, lower, np.inf),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.success, res.message
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("n,expected", [(18, 12), (20, 14)])
+def test_ladder_value_matches_milp_beyond_oracle(n, expected):
+    # P_n x P_2 on 2n > ORACLE_VERTEX_LIMIT vertices; the MILP reads an
+    # adjacency built here, with vertex (a, b) at 2a + b
+    from semitotal import ScanOptions, verify_pair
+
+    pytest.importorskip("scipy")
+    edges = [(2 * a, 2 * a + 1) for a in range(n)]
+    edges += [(2 * a + b, 2 * a + 2 + b) for a in range(n - 1) for b in (0, 1)]
+    adj = [set() for _ in range(2 * n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    record = verify_pair(
+        generate("path", n), generate("path", 2), ScanOptions(replay=False, workers=1)
+    )
+    assert record.gamma_t2_prod == _milp_gamma_t2(adj) == expected
