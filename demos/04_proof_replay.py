@@ -9,7 +9,6 @@ and the three counting inequalities that chain into the product bound.
 
 from semitotal import (
     build_cell_partition,
-    build_column_witness,
     build_connector_set,
     build_cover_index,
     cartesian_product,
@@ -60,10 +59,9 @@ def main():
     report = check_column_bounds(prod, d, ap, pi, profiles, cover, len(d))
     print("\nper-column checks (|R^v| <= 2|D^v| and replacement-set validity):")
     for check in report.columns:
-        witness = build_column_witness(prod, d, ap, pi, check.column, profiles, cover)
         print(
             f"  column {check.column}: |R^v|={check.indexed_rows} |D^v|={check.column_set_size} "
-            f"replacement {sorted(witness.vertices())} "
+            f"replacement {sorted(check.witness.vertices())} "
             f"{'ok' if check.ok else 'FAIL'}"
         )
 

@@ -13,17 +13,14 @@ by the product of two single edges.
 """
 
 from semitotal import ScanOptions, hunt_from_records, scan
-from semitotal.io import parse_pair_spec, render_csv_report
+from semitotal.io import parse_pair_spec, render_csv_report, write_csv, write_jsonl
 
 
 def main():
     spec = parse_pair_spec("paths:2-6,cycles:3-6,completes:2-4,stars:3-5")
-    options = ScanOptions(
-        replay=True,
-        out_jsonl="scan_records.jsonl",
-        out_csv="scan_summary.csv",
-    )
-    summary = scan(spec, options)
+    summary = scan(spec, ScanOptions(replay=True))
+    write_jsonl("scan_records.jsonl", summary.records)
+    write_csv("scan_summary.csv", summary.records)
     print(summary.render())
     print()
 

@@ -12,8 +12,16 @@ from pathlib import Path
 
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphs import Graph, cartesian_product, generate
-from .harness import REPLAY_CHECKS, ScanOptions, hunt_from_records, scan, summarize, verify_pair
-from .io import FamilySpecError, load_spec_json, parse_factor_token, parse_pair_spec, render_csv_report
+from .harness import REPLAY_CHECKS, ScanOptions, hunt_from_records, scan, verify_pair
+from .io import (
+    FamilySpecError,
+    load_spec_json,
+    parse_factor_token,
+    parse_pair_spec,
+    render_csv_report,
+    write_csv,
+    write_jsonl,
+)
 from .solvers import KINDS, IsolateError, solve_bnb
 
 EXIT_OK = 0
@@ -83,10 +91,9 @@ def _cmd_scan(args) -> int:
     if (args.spec is None) == (args.spec_json is None):
         raise _UsageError("scan needs exactly one of --spec or --spec-json")
     spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
-    options = _make_options(args)
-    options.out_jsonl = args.out
-    options.out_csv = args.csv or str(Path(args.out).with_suffix(".csv"))
-    summary = scan(spec, options)
+    summary = scan(spec, _make_options(args))
+    write_jsonl(args.out, summary.records)
+    write_csv(args.csv or Path(args.out).with_suffix(".csv"), summary.records)
     print(summary.render())
     hunt = hunt_from_records(summary.records, (args.threshold_num, args.threshold_den))
     print(hunt.render())
@@ -157,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--csv", help="CSV output path (default: --out with .csv)")
     scan_p.add_argument("--no-replay", action="store_true", help="skip the proof replay")
     scan_p.add_argument("--product-cap", type=int, help="skip products larger than this")
-    scan_p.add_argument("--workers", type=int, help="worker processes (default: env or cpu count)")
+    scan_p.add_argument("--workers", type=int, help="worker processes (default: cpu count)")
     scan_p.add_argument("--threshold-num", type=int, default=1, help="ratio threshold numerator")
     scan_p.add_argument("--threshold-den", type=int, default=2, help="ratio threshold denominator")
     scan_p.set_defaults(func=_cmd_scan)

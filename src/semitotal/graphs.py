@@ -321,11 +321,3 @@ def open_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     for v in _bits(s.mask):
         mask |= g.adj[v]
     return VertexSet(g.n, mask)
-
-
-def dist(g: Graph, u: int, v: int):
-    return g.dist(u, v)
-
-
-def is_isolate_free(g: Graph) -> bool:
-    return g.is_isolate_free()

@@ -34,7 +34,6 @@ from .solvers import (
     solve_bnb,
 )
 
-WORKERS_ENV = "SEMITOTAL_WORKERS"
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
 
@@ -47,10 +46,7 @@ class ScanOptions:
 
     replay: bool = True
     product_cap: int | None = None  # None: 36 with replay, 49 without
-    workers: int | None = None  # None: SEMITOTAL_WORKERS env, then cpu count
-    closest_k: int = 10
-    out_jsonl: str | None = None
-    out_csv: str | None = None
+    workers: int | None = None  # None: cpu count
 
     def effective_cap(self) -> int:
         if self.product_cap is not None:
@@ -60,9 +56,6 @@ class ScanOptions:
     def effective_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            return max(1, int(env))
         return os.cpu_count() or 1
 
 
@@ -135,9 +128,7 @@ _CONTAINER_FIELDS = {"replay": dict, "findings": list, "timing": dict}
 
 def _finding(
     kind: str,
-    record_id: str,
-    g6g: str,
-    g6h: str,
+    record: InstanceRecord,
     failed_predicate: str,
     d: list[int] | None,
     partition: list[list[int]] | None,
@@ -145,9 +136,9 @@ def _finding(
 ) -> dict:
     return {
         "kind": kind,
-        "instance_id": record_id,
-        "graph6_g": g6g,
-        "graph6_h": g6h,
+        "instance_id": record.id,
+        "graph6_g": record.graph6_g,
+        "graph6_h": record.graph6_h,
         "failed_predicate": failed_predicate,
         "d": d,
         "partition": partition,
@@ -210,43 +201,35 @@ def verify_pair(
     record.gamma_t2_h = solve_bnb(h, "gamma_t2").value
     record.timing["solve_h"] = clock() - t
 
-    # The bounds read only the value; the canonical set is built when the
-    # replay or a bound_violation finding reads it, once per pair.
     t = clock()
     prod = cartesian_product(g, h)
     transitive = _cycle_or_complete(g) and _cycle_or_complete(h)
-    if options.replay:
-        d = lexleast_min_semitotal_set(prod.graph, transitive=transitive)
-        record.gamma_t2_prod = len(d)
-    else:
-        d = None
-        minimum = solve_bnb(prod.graph, "gamma_t2", transitive=transitive).witness
-        record.gamma_t2_prod = len(minimum)
-    record.timing["solve_prod"] = clock() - t
-
+    minimum = solve_bnb(prod.graph, "gamma_t2", transitive=transitive).witness
+    record.gamma_t2_prod = len(minimum)
     record.bound_thm1 = record.rho_g * record.gamma_t2_h
     record.bound_thm2 = ceil(record.gamma_t2_g * record.gamma_t2_h / 3)
-    ratio = Fraction(record.gamma_t2_prod, record.gamma_t2_g * record.gamma_t2_h)
-    record.ratio_num, record.ratio_den = ratio.numerator, ratio.denominator
     record.bound_thm1_ok = record.gamma_t2_prod >= record.bound_thm1
     record.bound_thm2_ok = record.gamma_t2_prod >= record.bound_thm2
+    # The bounds read only the value; the canonical set is built once, when
+    # the replay or a bound_violation finding reads it.
+    if options.replay or not (record.bound_thm1_ok and record.bound_thm2_ok):
+        d = lexleast_min_semitotal_set(prod.graph, minimum=minimum)
+        d_list = sorted(d.vertices())
+    record.timing["solve_prod"] = clock() - t
+
+    ratio = Fraction(record.gamma_t2_prod, record.gamma_t2_g * record.gamma_t2_h)
+    record.ratio_num, record.ratio_den = ratio.numerator, ratio.denominator
     for name, ok, bound in (
         ("bound_thm1", record.bound_thm1_ok, record.bound_thm1),
         ("bound_thm2", record.bound_thm2_ok, record.bound_thm2),
     ):
         if not ok:
-            if d is None:
-                t = clock()
-                d = lexleast_min_semitotal_set(prod.graph, minimum=minimum)
-                record.timing["solve_prod"] += clock() - t
             record.findings.append(
                 _finding(
                     "bound_violation",
-                    record.id,
-                    g6g,
-                    g6h,
+                    record,
                     f"gamma_t2_prod >= {name}",
-                    sorted(d.vertices()),
+                    d_list,
                     None,
                     {
                         "gamma_t2_prod": record.gamma_t2_prod,
@@ -269,11 +252,9 @@ def verify_pair(
         record.findings.append(
             _finding(
                 "construction_failure",
-                record.id,
-                g6g,
-                g6h,
+                record,
                 "build_cell_partition",
-                sorted(d.vertices()),
+                d_list,
                 None,
                 {"error": str(exc), **exc.context},
             )
@@ -283,16 +264,13 @@ def verify_pair(
         return record
 
     cells = [sorted(c.vertices()) for c in pi.cells]
-    d_list = sorted(d.vertices())
     violations = cell_partition_violations(g, ap, pi)
     record.replay["pi_valid"] = _status(not violations)
     if violations:
         record.findings.append(
             _finding(
                 "construction_failure",
-                record.id,
-                g6g,
-                g6h,
+                record,
                 "cell_partition_invariants",
                 d_list,
                 cells,
@@ -312,9 +290,7 @@ def verify_pair(
             record.findings.append(
                 _finding(
                     "claim1_failure",
-                    record.id,
-                    g6g,
-                    g6h,
+                    record,
                     "claim1_column_check",
                     d_list,
                     cells,
@@ -342,9 +318,7 @@ def verify_pair(
             record.findings.append(
                 _finding(
                     "claim2_edge_case",
-                    record.id,
-                    g6g,
-                    g6h,
+                    record,
                     "claim2_validation",
                     d_list,
                     cells,
@@ -371,9 +345,7 @@ def verify_pair(
         record.findings.append(
             _finding(
                 "counting_inequality_failure",
-                record.id,
-                g6g,
-                g6h,
+                record,
                 "counting_checks",
                 d_list,
                 cells,
@@ -460,8 +432,7 @@ def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
     """Run verify_pair over the grid of factor descriptors, in spec order.
 
     Single-instance errors become skipped records, never aborts.  Results are
-    merged in spec order regardless of worker scheduling, and written as
-    JSONL/CSV when the options name output paths.
+    merged in spec order regardless of worker scheduling.
     """
     options = options or ScanOptions()
     tasks = [
@@ -476,16 +447,7 @@ def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
             records.extend(pool.map(_pair_task, tasks, chunksize=8))
     else:
         records.extend(map(_pair_task, tasks))
-    summary = summarize(records)
-    if options.out_jsonl:
-        from .io import write_jsonl
-
-        write_jsonl(options.out_jsonl, records)
-    if options.out_csv:
-        from .io import write_csv
-
-        write_csv(options.out_csv, records)
-    return summary
+    return summarize(records)
 
 
 def summarize(records: list[InstanceRecord]) -> ScanSummary:
@@ -547,9 +509,7 @@ def hunt_from_records(
             findings.append(
                 _finding(
                     "conjecture_counterexample",
-                    r.id,
-                    r.graph6_g,
-                    r.graph6_h,
+                    r,
                     f"ratio >= {threshold[0]}/{threshold[1]}",
                     None,
                     None,
@@ -564,15 +524,3 @@ def hunt_from_records(
         for _, _, r in above[:closest_k]
     ]
     return HuntReport(threshold=threshold, findings=findings, closest=closest)
-
-
-def hunt_conjecture(
-    threshold: tuple[int, int],
-    spec,
-    options: ScanOptions | None = None,
-) -> HuntReport:
-    """Scan the spec and flag every instance whose product/factor ratio falls
-    below the threshold (expected empty at 1/2), with the nearest instances."""
-    options = options or ScanOptions()
-    summary = scan(spec, options)
-    return hunt_from_records(summary.records, threshold, options.closest_k)

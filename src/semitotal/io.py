@@ -119,11 +119,18 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
         return [(f"g6:{graph6}", graph6)]
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
-    family = _FAMILY_NAMES.get(str(entry["family"]).lower())
-    if family is None:
-        raise FamilySpecError(f"unknown family {entry['family']!r}")
+    name = str(entry["family"]).lower()
     lo = int(entry.get("n_min", entry.get("n", 0)))
     hi = int(entry.get("n_max", entry.get("n", 0)))
+    if name == "random":
+        p, seed = float(entry["p"]), int(entry["seed"])
+        return [
+            (f"random:{n}:p{p}:s{seed}", emit_graph6(generate("random", n, p=p, seed=seed)))
+            for n in range(lo, hi + 1)
+        ]
+    family = _FAMILY_NAMES.get(name)
+    if family is None:
+        raise FamilySpecError(f"unknown family {entry['family']!r}")
     return _resolve_family(family, lo, hi)
 
 
@@ -141,18 +148,7 @@ def load_spec_json(path: str | Path) -> FamilySpec:
     def resolve_entries(entries) -> tuple[tuple[str, str], ...]:
         out = []
         for entry in entries:
-            if str(entry.get("family", "")).lower() == "random":
-                n_lo = int(entry.get("n_min", entry.get("n", 0)))
-                n_hi = int(entry.get("n_max", entry.get("n", 0)))
-                p = float(entry["p"])
-                seed = int(entry["seed"])
-                for n in range(n_lo, n_hi + 1):
-                    graph = generate("random", n, p=p, seed=seed)
-                    out.append(
-                        (f"random:{n}:p{p}:s{seed}", emit_graph6(graph))
-                    )
-            else:
-                out.extend(_resolve_json_entry(entry, base))
+            out.extend(_resolve_json_entry(entry, base))
         if not out:
             raise FamilySpecError("spec side resolved to no graphs")
         return tuple(out)

@@ -345,8 +345,8 @@ def build_column_witness(
     ap: AlliedPartition,
     pi: CellPartition,
     v: int,
-    profiles: tuple[CellProfile, ...] | None = None,
-    cover: CoverIndex | None = None,
+    profiles: tuple[CellProfile, ...],
+    cover: CoverIndex,
 ) -> VertexSet:
     """Replacement semi-total dominating set of G assembled from column v.
 
@@ -359,10 +359,6 @@ def build_column_witness(
     n_h = prod.n_h
     if not 0 <= v < n_h:
         raise ValueError(f"height {v} outside factor range")
-    if profiles is None:
-        profiles = project_profiles(prod, d, pi)
-    if cover is None:
-        cover = build_cover_index(prod, d, pi, profiles)
     order = ap.order
     k = len(order)
     ell = ap.allied_count

@@ -330,9 +330,7 @@ def _search_kernel(
     return best
 
 
-def lexleast_min_semitotal_set(
-    g: Graph, *, transitive: bool = False, minimum: VertexSet | None = None
-) -> VertexSet:
+def lexleast_min_semitotal_set(g: Graph, *, minimum: VertexSet | None = None) -> VertexSet:
     """The lexicographically least minimum semi-total dominating set.
 
     Canonical replay witness: agrees with the oracle's witness wherever the
@@ -340,12 +338,12 @@ def lexleast_min_semitotal_set(
     in ascending order against budgeted-feasible searches; a probe that the
     current witness already answers is not searched.  The first witness is
     ``minimum``, a minimum semi-total dominating set the caller has solved
-    for, or else the witness of ``solve_bnb``, to which ``transitive`` is
-    passed; the set does not depend on either.
+    for (``verify_pair`` passes its product solve's witness), or else the
+    witness of ``solve_bnb(g, "gamma_t2")``; the set does not depend on which.
     """
     _check_isolate_free(g)
     if minimum is None:
-        minimum = solve_bnb(g, "gamma_t2", transitive=transitive).witness
+        minimum = solve_bnb(g, "gamma_t2").witness
     elif not _semitotal_dominating_mask(g, minimum.mask):
         raise AssertionError(f"starting set {minimum.mask:#x} is not semi-total dominating")
     witness = minimum.mask
@@ -434,11 +432,3 @@ def solve_bnb(g: Graph, kind: str, *, transitive: bool = False) -> InvariantResu
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")
     return InvariantResult(kind, mask.bit_count(), VertexSet(g.n, mask), "branch_and_bound")
-
-
-def solve(g: Graph, kind: str, method: str = "branch_and_bound") -> InvariantResult:
-    if method == "oracle":
-        return solve_oracle(g, kind)
-    if method == "branch_and_bound":
-        return solve_bnb(g, kind)
-    raise ValueError(f"unknown method {method!r}")

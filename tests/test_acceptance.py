@@ -41,7 +41,7 @@ from semitotal import (
     solve_bnb,
     solve_oracle,
 )
-from semitotal.io import comparison_form, parse_pair_spec
+from semitotal.io import comparison_form, parse_pair_spec, write_jsonl
 from semitotal.solvers import ORACLE_VERTEX_LIMIT
 
 SWEEP_SPEC = "paths:2-6,cycles:3-6,completes:2-4,stars:3-5"
@@ -336,8 +336,8 @@ def test_criterion_8_determinism(tmp_path):
     spec = parse_pair_spec("paths:2-5 x cycles:3-6")
     first = tmp_path / "first.jsonl"
     second = tmp_path / "second.jsonl"
-    scan(spec, ScanOptions(workers=1, out_jsonl=str(first)))
-    scan(spec, ScanOptions(workers=2, out_jsonl=str(second)))
+    write_jsonl(first, scan(spec, ScanOptions(workers=1)).records)
+    write_jsonl(second, scan(spec, ScanOptions(workers=2)).records)
     identical = comparison_form(first) == comparison_form(second)
     round_trips = 0
     broken = []

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh working directory."""
+"""Each demo script, and the README's library quickstart, runs to completion
+in a fresh working directory."""
 
 import os
 import subprocess
@@ -9,7 +10,20 @@ import pytest
 
 import semitotal
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args, cwd):
+    src = str(Path(semitotal.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,  # demo 05 writes scan_records.jsonl into its cwd
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def test_demo_set():
@@ -18,13 +32,21 @@ def test_demo_set():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    src = str(Path(semitotal.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,  # demo 05 writes scan_records.jsonl into its cwd
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_quickstart(tmp_path):
+    # the block must keep running against the current API, and each print
+    # commented with its output must print exactly that
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    expected = {i: line.split("# ", 1)[1] for i, line in enumerate(prints) if "# " in line}
+    assert expected == {0: "3", 1: "VertexSet(n=6, {0,3})"}
+    proc = _run(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(prints)
+    assert {i: lines[i] for i in expected} == expected

@@ -9,10 +9,8 @@ from semitotal import (
     VertexSet,
     cartesian_product,
     closed_neighborhood,
-    dist,
     from_edge_list,
     generate,
-    is_isolate_free,
     open_neighborhood,
 )
 from semitotal.graphs import PRODUCT_SIZE_CAP
@@ -98,12 +96,12 @@ def test_generate_unknown_family():
 def test_disconnected_distance_is_inf():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     assert g.dist(0, 2) == INF
-    assert math.isinf(dist(g, 1, 3))
+    assert math.isinf(g.dist(1, 3))
 
 
 def test_isolate_detection():
-    assert is_isolate_free(generate("path", 3))
-    assert not is_isolate_free(from_edge_list(3, [(0, 1)]))
+    assert generate("path", 3).is_isolate_free()
+    assert not from_edge_list(3, [(0, 1)]).is_isolate_free()
 
 
 def test_closed_neighborhood_c4():

@@ -8,14 +8,13 @@ from semitotal import (
     ScanOptions,
     from_edge_list,
     generate,
-    hunt_conjecture,
     hunt_from_records,
     scan,
     summarize,
     verify_pair,
 )
 from semitotal.harness import REPLAY_CHECKS, _cycle_or_complete
-from semitotal.io import FamilySpec, comparison_form, parse_pair_spec
+from semitotal.io import FamilySpec, comparison_form, parse_pair_spec, write_jsonl
 
 
 def options(**kw):
@@ -100,7 +99,6 @@ def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
     import semitotal.harness
 
     pairs = [(("cycle", 5), ("complete", 3)), (("cycle", 5), ("path", 3))]
-    # replay off: the product's value comes from solve_bnb
     seen = []
     solve = semitotal.harness.solve_bnb
 
@@ -110,22 +108,48 @@ def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
         return solve(g, kind, **kw)
 
     monkeypatch.setattr(semitotal.harness, "solve_bnb", spy_solve)
-    for left, right in pairs:
-        verify_pair(generate(*left), generate(*right), options(replay=False))
-    assert seen == [True, False]
+    for replay in (False, True):
+        seen.clear()
+        for left, right in pairs:
+            verify_pair(generate(*left), generate(*right), options(replay=replay))
+        assert seen == [True, False], replay
 
-    # replay on: the product is solved once, by lexleast
-    seen.clear()
-    lexleast = semitotal.harness.lexleast_min_semitotal_set
 
-    def spy_lexleast(g, **kw):
-        seen.append(kw["transitive"])
-        return lexleast(g, **kw)
+@pytest.mark.parametrize("replay", [False, True])
+def test_verify_pair_solves_the_product_once(monkeypatch, replay):
+    # one solve_bnb on the product, in whichever module it is looked up, and
+    # lexleast at most once, started from that solve's witness
+    import semitotal.harness
+    import semitotal.proofs
+    import semitotal.solvers
 
+    solves, lexleasts = [], []
+    solve = semitotal.solvers.solve_bnb
+    lexleast = semitotal.solvers.lexleast_min_semitotal_set
+    product_order = 0
+
+    def spy_solve(graph, kind, **kw):
+        if graph.n == product_order:
+            solves.append(kind)
+        return solve(graph, kind, **kw)
+
+    def spy_lexleast(graph, **kw):
+        lexleasts.append(sorted(kw))
+        return lexleast(graph, **kw)
+
+    for module in (semitotal.harness, semitotal.proofs, semitotal.solvers):
+        monkeypatch.setattr(module, "solve_bnb", spy_solve)
     monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy_lexleast)
-    for left, right in pairs:
-        verify_pair(generate(*left), generate(*right), options())
-    assert seen == [True, False]
+    # P4xP2 violates the packing bound, C5xP3 violates nothing
+    for left, right, violates in ((("path", 4), ("path", 2), True), (("cycle", 5), ("path", 3), False)):
+        g, h = generate(*left), generate(*right)
+        product_order = g.n * h.n
+        solves.clear()
+        lexleasts.clear()
+        record = verify_pair(g, h, options(replay=replay))
+        assert any(f["kind"] == "bound_violation" for f in record.findings) is violates
+        assert solves == ["gamma_t2"], (left, right)
+        assert lexleasts == ([["minimum"]] if replay or violates else []), (left, right)
 
 
 def test_verify_pair_builds_lexleast_only_for_findings(monkeypatch):
@@ -232,8 +256,8 @@ def test_scan_deterministic_modulo_timing(tmp_path):
     spec = parse_pair_spec("paths:2-4 x stars:3-4")
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    scan(spec, options(out_jsonl=str(a)))
-    scan(spec, options(out_jsonl=str(b)))
+    write_jsonl(a, scan(spec, options()).records)
+    write_jsonl(b, scan(spec, options()).records)
     assert comparison_form(a) == comparison_form(b)
 
 
@@ -241,8 +265,8 @@ def test_scan_parallel_equals_serial(tmp_path):
     spec = parse_pair_spec("paths:2-4 x cycles:3-4")
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
-    scan(spec, options(out_jsonl=str(serial)))
-    scan(spec, ScanOptions(workers=2, out_jsonl=str(parallel)))
+    write_jsonl(serial, scan(spec, options()).records)
+    write_jsonl(parallel, scan(spec, ScanOptions(workers=2)).records)
     assert comparison_form(serial) == comparison_form(parallel)
 
 
@@ -257,7 +281,7 @@ def test_scan_single_instance_error_becomes_skip():
 
 def test_hunt_default_threshold_no_findings():
     spec = parse_pair_spec("paths:2-4 x paths:2-4")
-    report = hunt_conjecture((1, 2), spec, options())
+    report = hunt_from_records(scan(spec, options()).records, (1, 2))
     assert report.findings == []
     assert report.closest
     assert report.closest[0]["ratio_num"] == 1 and report.closest[0]["ratio_den"] == 2
@@ -265,14 +289,14 @@ def test_hunt_default_threshold_no_findings():
 
 def test_hunt_threshold_one_flags_instances():
     spec = parse_pair_spec("paths:2-4 x paths:2-4")
-    report = hunt_conjecture((1, 1), spec, options())
+    report = hunt_from_records(scan(spec, options()).records, (1, 1))
     assert report.findings  # plenty of ratios sit below 1
     assert all(f["kind"] == "conjecture_counterexample" for f in report.findings)
 
 
 def test_hunt_threshold_third_guaranteed_empty():
     spec = parse_pair_spec("paths:2-5 x cycles:3-5")
-    report = hunt_conjecture((1, 3), spec, options())
+    report = hunt_from_records(scan(spec, options()).records, (1, 3))
     assert report.findings == []
 
 

@@ -181,8 +181,8 @@ def test_random_family_scan_is_seed_deterministic(tmp_path):
     )
     first = tmp_path / "one.jsonl"
     second = tmp_path / "two.jsonl"
-    scan(load_spec_json(spec_path), ScanOptions(workers=1, out_jsonl=str(first)))
-    scan(load_spec_json(spec_path), ScanOptions(workers=1, out_jsonl=str(second)))
+    write_jsonl(first, scan(load_spec_json(spec_path), ScanOptions(workers=1)).records)
+    write_jsonl(second, scan(load_spec_json(spec_path), ScanOptions(workers=1)).records)
     assert comparison_form(first) == comparison_form(second)
 
 

@@ -381,27 +381,18 @@ def _cycle_complete_products(max_order):
     [_cycle_complete_products(42), [(("cycle", 7), ("cycle", 7))]],
     ids=["up_to_42_vertices", "C7xC7"],
 )
-def test_transitive_root_keeps_results(monkeypatch, pairs):
-    # solve_bnb is recorded as lexleast calls it, so each product is solved
-    # once per flag
+def test_transitive_root_keeps_results(pairs):
+    # the flag keeps solve_bnb's value and witness, and lexleast started from
+    # the flagged witness gives the set it builds from its own solve
     from semitotal import cartesian_product
 
-    calls = []
-    original = semitotal.solvers.solve_bnb
-
-    def record(g, kind, **kw):
-        calls.append((kw.get("transitive", False), original(g, kind, **kw)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(semitotal.solvers, "solve_bnb", record)
     for left, right in pairs:
         prod = cartesian_product(generate(*left), generate(*right)).graph
-        calls.clear()
-        plain = lexleast_min_semitotal_set(prod)
-        fixed = lexleast_min_semitotal_set(prod, transitive=True)
-        assert plain == fixed, (left, right)
-        (flag0, result0), (flag1, result1) = calls
-        assert (flag0, flag1) == (False, True) and result0 == result1, (left, right)
+        fixed = solve_bnb(prod, "gamma_t2", transitive=True)
+        assert fixed == solve_bnb(prod, "gamma_t2"), (left, right)
+        assert lexleast_min_semitotal_set(prod, minimum=fixed.witness) == (
+            lexleast_min_semitotal_set(prod)
+        ), (left, right)
 
 
 def _search_calls(fn, *args):
@@ -466,16 +457,6 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
         timeout=120,
     )
     assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
-
-
-def test_solve_dispatcher():
-    from semitotal import solve
-
-    g = generate("cycle", 5)
-    assert solve(g, "gamma_t2", "oracle").method == "oracle"
-    assert solve(g, "gamma_t2").method == "branch_and_bound"
-    with pytest.raises(ValueError, match="unknown method"):
-        solve(g, "gamma_t2", "ilp")
 
 
 small_factor = st.builds(
