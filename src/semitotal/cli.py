@@ -90,6 +90,8 @@ def _make_options(args) -> ScanOptions:
 def _cmd_scan(args) -> int:
     if (args.spec is None) == (args.spec_json is None):
         raise _UsageError("scan needs exactly one of --spec or --spec-json")
+    if args.threshold_den <= 0:
+        raise _UsageError("--threshold-den must be positive")
     spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
     summary = scan(spec, _make_options(args))
     write_jsonl(args.out, summary.records)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil
 
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import INF, Graph, _bfs_distances, cartesian_product
+from .graphs import INF, Graph, VertexSet, _bfs_distances, cartesian_product
 from .proofs import (
     FalsificationError,
     build_cell_partition,
@@ -162,6 +162,30 @@ def _cycle_or_complete(g: Graph) -> bool:
     return regular2 and INF not in _bfs_distances(g.adj, g.n, 0)
 
 
+def _new_record(
+    g6g: str, g6h: str, n_g: int, n_h: int, left_id: str | None, right_id: str | None
+) -> InstanceRecord:
+    """The identifying header of a pair's record; ids default to the graph6."""
+    lid = left_id or f"g6:{g6g}"
+    rid = right_id or f"g6:{g6h}"
+    return InstanceRecord(
+        id=f"{lid} x {rid} {g6g} {g6h}",
+        left_id=lid,
+        right_id=rid,
+        graph6_g=g6g,
+        graph6_h=g6h,
+        n_g=n_g,
+        n_h=n_h,
+    )
+
+
+def _plain_fields(result) -> dict:
+    """A stage result's fields as JSON-plain values: each VertexSet becomes
+    its sorted vertex list."""
+    plain = {f.name: getattr(result, f.name) for f in fields(result)}
+    return {k: sorted(v.vertices()) if isinstance(v, VertexSet) else v for k, v in plain.items()}
+
+
 def verify_pair(
     g: Graph,
     h: Graph,
@@ -175,22 +199,17 @@ def verify_pair(
     for side, graph in (("left", g), ("right", h)):
         if not graph.is_isolate_free():
             raise IsolateError(f"{side} factor has an isolated vertex")
-    g6g, g6h = emit_graph6(g), emit_graph6(h)
-    lid = left_id or f"g6:{g6g}"
-    rid = right_id or f"g6:{g6h}"
-    record = InstanceRecord(
-        id=f"{lid} x {rid} {g6g} {g6h}",
-        left_id=lid,
-        right_id=rid,
-        graph6_g=g6g,
-        graph6_h=g6h,
-        n_g=g.n,
-        n_h=h.n,
-    )
+    record = _new_record(emit_graph6(g), emit_graph6(h), g.n, h.n, left_id, right_id)
     cap = options.effective_cap()
     if g.n * h.n > cap:
         record.skipped = f"product on {g.n * h.n} vertices exceeds cap {cap}"
         return record
+
+    d_list = cells = None
+
+    def report(kind: str, failed_predicate: str, detail: dict) -> None:
+        # every finding carries the product set and, once built, the cells
+        record.findings.append(_finding(kind, record, failed_predicate, d_list, cells, detail))
 
     clock = time.perf_counter
     t = clock()
@@ -224,21 +243,16 @@ def verify_pair(
         ("bound_thm2", record.bound_thm2_ok, record.bound_thm2),
     ):
         if not ok:
-            record.findings.append(
-                _finding(
-                    "bound_violation",
-                    record,
-                    f"gamma_t2_prod >= {name}",
-                    d_list,
-                    None,
-                    {
-                        "gamma_t2_prod": record.gamma_t2_prod,
-                        name: bound,
-                        "gamma_t2_G": record.gamma_t2_g,
-                        "gamma_t2_H": record.gamma_t2_h,
-                        "rho_G": record.rho_g,
-                    },
-                )
+            report(
+                "bound_violation",
+                f"gamma_t2_prod >= {name}",
+                {
+                    "gamma_t2_prod": record.gamma_t2_prod,
+                    name: bound,
+                    "gamma_t2_G": record.gamma_t2_g,
+                    "gamma_t2_H": record.gamma_t2_h,
+                    "rho_G": record.rho_g,
+                },
             )
 
     if not options.replay:
@@ -249,16 +263,7 @@ def verify_pair(
         ap = max_allied_set(g, gamma_t2=record.gamma_t2_g)
         pi = build_cell_partition(g, ap)
     except FalsificationError as exc:
-        record.findings.append(
-            _finding(
-                "construction_failure",
-                record,
-                "build_cell_partition",
-                d_list,
-                None,
-                {"error": str(exc), **exc.context},
-            )
-        )
+        report("construction_failure", "build_cell_partition", {"error": str(exc), **exc.context})
         record.replay["pi_valid"] = "fail"
         record.timing["replay"] = clock() - t
         return record
@@ -267,101 +272,45 @@ def verify_pair(
     violations = cell_partition_violations(g, ap, pi)
     record.replay["pi_valid"] = _status(not violations)
     if violations:
-        record.findings.append(
-            _finding(
-                "construction_failure",
-                record,
-                "cell_partition_invariants",
-                d_list,
-                cells,
-                {"violations": violations},
-            )
-        )
+        report("construction_failure", "cell_partition_invariants", {"violations": violations})
 
     profiles = project_profiles(prod, d, pi)
     cover = build_cover_index(prod, d, pi, profiles)
-
-    column_report = check_column_bounds(
-        prod, d, ap, pi, profiles, cover, record.gamma_t2_prod
-    )
+    column_report = check_column_bounds(prod, d, ap, pi, profiles, cover, record.gamma_t2_prod)
     record.replay["claim1"] = _status(column_report.ok)
     for check in column_report.columns:
         if not check.ok:
-            record.findings.append(
-                _finding(
-                    "claim1_failure",
-                    record,
-                    "claim1_column_check",
-                    d_list,
-                    cells,
-                    {
-                        "column": check.column,
-                        "indexed_rows": check.indexed_rows,
-                        "column_set_size": check.column_set_size,
-                        "inequality_ok": check.inequality_ok,
-                        "witness": sorted(check.witness.vertices()),
-                        "witness_valid": check.witness_valid,
-                        "witness_size_ok": check.witness_size_ok,
-                    },
-                )
-            )
+            report("claim1_failure", "claim1_column_check", _plain_fields(check))
 
-    cells_pass = cells_fail = 0
     failed_cells = []
     for profile in profiles:
         result = build_connector_set(h, profile)
-        if result.base_valid:
-            cells_pass += 1
-        else:
-            cells_fail += 1
+        if not result.base_valid:
             failed_cells.append(profile.index)
-            record.findings.append(
-                _finding(
-                    "claim2_edge_case",
-                    record,
-                    "claim2_validation",
-                    d_list,
-                    cells,
-                    {
-                        "cell": profile.index,
-                        "projection": sorted(profile.projection.vertices()),
-                        "missing": sorted(profile.missing.vertices()),
-                        "uncovered": sorted(profile.uncovered.vertices()),
-                        "connectors": sorted(result.connectors.vertices()),
-                    },
-                )
+            report(
+                "claim2_edge_case",
+                "claim2_validation",
+                {
+                    "cell": profile.index,
+                    "projection": sorted(profile.projection.vertices()),
+                    "missing": sorted(profile.missing.vertices()),
+                    "uncovered": sorted(profile.uncovered.vertices()),
+                    "connectors": sorted(result.connectors.vertices()),
+                },
             )
-    record.claim2_cells_pass = cells_pass
-    record.claim2_cells_fail = cells_fail
-    record.replay["claim2"] = _status(cells_fail == 0)
+    record.claim2_cells_pass = len(profiles) - len(failed_cells)
+    record.claim2_cells_fail = len(failed_cells)
+    record.replay["claim2"] = _status(not failed_cells)
 
     checks = counting_checks(
         profiles, cover, record.gamma_t2_prod, record.gamma_t2_g, record.gamma_t2_h
     )
-    record.replay["eq1"] = _status(checks.eq1_ok)
-    record.replay["eq2"] = _status(checks.eq2_ok)
-    record.replay["eq3"] = _status(checks.eq3_ok)
+    for eq in ("eq1", "eq2", "eq3"):
+        record.replay[eq] = _status(getattr(checks, f"{eq}_ok"))
     if not (checks.eq1_ok and checks.eq2_ok and checks.eq3_ok and checks.chain_ok):
-        record.findings.append(
-            _finding(
-                "counting_inequality_failure",
-                record,
-                "counting_checks",
-                d_list,
-                cells,
-                {
-                    "index_total": checks.index_total,
-                    "cell_sum": checks.cell_sum,
-                    "set_size": checks.set_size,
-                    "eq1_ok": checks.eq1_ok,
-                    "eq2_ok": checks.eq2_ok,
-                    "eq3_ok": checks.eq3_ok,
-                    "chain_ok": checks.chain_ok,
-                    # eq3 leans on the per-cell validations; report the link
-                    "claim2_failed_cells": failed_cells,
-                },
-            )
-        )
+        # eq3 leans on the per-cell validations; report the link
+        detail = {**_plain_fields(checks), "claim2_failed_cells": failed_cells}
+        report("counting_inequality_failure", "counting_checks", detail)
     record.timing["replay"] = clock() - t
     return record
 
@@ -402,18 +351,11 @@ def _pair_task(task) -> InstanceRecord:
         g = _graph_from_cache(g6g)
         h = _graph_from_cache(g6h)
         return verify_pair(g, h, options, left_id=lid, right_id=rid)
-    except (IsolateError, ValueError) as exc:
+    except ValueError as exc:  # IsolateError included
         # single-instance failures become skipped records, never abort a scan
-        return InstanceRecord(
-            id=f"{lid} x {rid} {g6g} {g6h}",
-            left_id=lid,
-            right_id=rid,
-            graph6_g=g6g,
-            graph6_h=g6h,
-            n_g=parse_graph6(g6g).n,
-            n_h=parse_graph6(g6h).n,
-            skipped=f"error: {exc}",
-        )
+        record = _new_record(g6g, g6h, parse_graph6(g6g).n, parse_graph6(g6h).n, lid, rid)
+        record.skipped = f"error: {exc}"
+        return record
 
 
 _GRAPH_CACHE: dict[str, Graph] = {}

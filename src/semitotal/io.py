@@ -123,6 +123,9 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
     lo = int(entry.get("n_min", entry.get("n", 0)))
     hi = int(entry.get("n_max", entry.get("n", 0)))
     if name == "random":
+        for key in ("p", "seed"):
+            if key not in entry:
+                raise FamilySpecError(f"random spec entry {entry} needs {key!r}")
         p, seed = float(entry["p"]), int(entry["seed"])
         return [
             (f"random:{n}:p{p}:s{seed}", emit_graph6(generate("random", n, p=p, seed=seed)))

@@ -139,6 +139,39 @@ def test_scan_json_spec(capsys, tmp_path):
     assert record["left_id"] == "random:5:p0.5:s2"
 
 
+@pytest.mark.parametrize("key", ["p", "seed"])
+def test_scan_json_random_entry_needs_p_and_seed(capsys, tmp_path, key):
+    entry = {"family": "random", "n": 5, "p": 0.5, "seed": 1}
+    del entry[key]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"left": [entry], "right": [{"family": "path", "n": 2}]}))
+    out_path = tmp_path / "rand.jsonl"
+    code, _, err = run(capsys, "scan", "--spec-json", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert f"needs {key!r}" in err
+    assert not out_path.exists()
+
+
+def test_scan_rejects_threshold_den_zero_before_scanning(capsys, tmp_path):
+    out_path = tmp_path / "z.jsonl"
+    code, out, err = run(
+        capsys,
+        "scan",
+        "--spec",
+        "path:2 x path:2",
+        "--out",
+        str(out_path),
+        "--workers",
+        "1",
+        "--threshold-den",
+        "0",
+    )
+    assert code == 2
+    assert "--threshold-den" in err
+    assert out == ""
+    assert not out_path.exists() and not (tmp_path / "z.csv").exists()
+
+
 def test_verify_proof_table(capsys):
     code, out, _ = run(capsys, "verify-proof", "--left", "cycle:6", "--right", "path:3")
     assert code == 0

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from semitotal import (
     from_edge_list,
     generate,
     hunt_from_records,
+    parse_graph6,
     scan,
     summarize,
     verify_pair,
@@ -229,6 +231,133 @@ def test_verify_pair_detects_first_bound_falsification():
     assert record.bound_thm2_ok is True
 
 
+# K2 x a relabelled P5: the smallest catalog pair with a Claim 1 failure
+K2_G6, P5_G6 = "A_", "DKK"
+K2_P5_D = [0, 1, 2, 8]
+K2_P5_CELLS = [[1], [0]]
+
+
+def _k2_p5_record():
+    return verify_pair(parse_graph6(K2_G6), parse_graph6(P5_G6), options())
+
+
+def _replay(pi_valid="pass", claim1="fail", claim2="fail", eq="pass"):
+    return {"pi_valid": pi_valid, "claim1": claim1, "claim2": claim2,
+            "eq1": eq, "eq2": eq, "eq3": eq}
+
+
+def _only(record, kind):
+    found = [f for f in record.findings if f["kind"] == kind]
+    assert len(found) == 1, [f["kind"] for f in record.findings]
+    finding = found[0]
+    assert finding["instance_id"] == f"g6:{K2_G6} x g6:{P5_G6} {K2_G6} {P5_G6}"
+    assert (finding["graph6_g"], finding["graph6_h"]) == (K2_G6, P5_G6)
+    assert finding["d"] == K2_P5_D
+    return finding
+
+
+def test_replay_findings_of_k2_times_p5():
+    record = _k2_p5_record()
+    assert record.replay == _replay()
+    assert (record.claim2_cells_pass, record.claim2_cells_fail) == (1, 1)
+    assert [f["kind"] for f in record.findings] == ["claim1_failure", "claim2_edge_case"]
+    claim1 = _only(record, "claim1_failure")
+    assert claim1["failed_predicate"] == "claim1_column_check"
+    assert claim1["partition"] == K2_P5_CELLS
+    assert claim1["detail"] == {
+        "column": 0,
+        "column_set_size": 1,
+        "indexed_rows": 2,
+        "inequality_ok": True,
+        "witness": [0],
+        "witness_size_ok": True,
+        "witness_valid": False,
+    }
+    claim2 = _only(record, "claim2_edge_case")
+    assert claim2["failed_predicate"] == "claim2_validation"
+    assert claim2["partition"] == K2_P5_CELLS
+    assert claim2["detail"] == {
+        "cell": 1,
+        "projection": [0, 1, 2],
+        "missing": [],
+        "uncovered": [0],
+        "connectors": [],
+    }
+
+
+def test_replay_finding_when_the_cell_partition_cannot_be_built(monkeypatch):
+    import semitotal.harness
+    from semitotal import FalsificationError
+
+    def refuse(g, ap):
+        raise FalsificationError("no cell", {"vertex": 1})
+
+    monkeypatch.setattr(semitotal.harness, "build_cell_partition", refuse)
+    record = _k2_p5_record()
+    assert record.replay == {c: ("fail" if c == "pi_valid" else "skipped") for c in REPLAY_CHECKS}
+    assert record.claim2_cells_pass is None and record.claim2_cells_fail is None
+    assert [f["kind"] for f in record.findings] == ["construction_failure"]
+    finding = _only(record, "construction_failure")
+    assert finding["failed_predicate"] == "build_cell_partition"
+    assert finding["partition"] is None
+    assert finding["detail"] == {"error": "no cell", "vertex": 1}
+
+
+def test_replay_finding_when_the_cell_partition_breaks_an_invariant(monkeypatch):
+    import semitotal.harness
+
+    monkeypatch.setattr(
+        semitotal.harness, "cell_partition_violations", lambda g, ap, pi: ["cells overlap"]
+    )
+    record = _k2_p5_record()
+    assert record.replay == _replay(pi_valid="fail")
+    assert [f["kind"] for f in record.findings] == [
+        "construction_failure",
+        "claim1_failure",
+        "claim2_edge_case",
+    ]
+    finding = _only(record, "construction_failure")
+    assert finding["failed_predicate"] == "cell_partition_invariants"
+    assert finding["partition"] == K2_P5_CELLS
+    assert finding["detail"] == {"violations": ["cells overlap"]}
+
+
+def test_replay_finding_when_a_counting_inequality_fails(monkeypatch):
+    import semitotal.harness
+    from semitotal.proofs import CountingChecks
+
+    failing = CountingChecks(
+        index_total=5,
+        cell_sum=6,
+        set_size=4,
+        eq1_ok=False,
+        eq2_ok=True,
+        eq3_ok=False,
+        chain_ok=True,
+    )
+    monkeypatch.setattr(semitotal.harness, "counting_checks", lambda *args: failing)
+    record = _k2_p5_record()
+    assert record.replay == {**_replay(), "eq1": "fail", "eq2": "pass", "eq3": "fail"}
+    assert [f["kind"] for f in record.findings] == [
+        "claim1_failure",
+        "claim2_edge_case",
+        "counting_inequality_failure",
+    ]
+    finding = _only(record, "counting_inequality_failure")
+    assert finding["failed_predicate"] == "counting_checks"
+    assert finding["partition"] == K2_P5_CELLS
+    assert finding["detail"] == {
+        "index_total": 5,
+        "cell_sum": 6,
+        "set_size": 4,
+        "eq1_ok": False,
+        "eq2_ok": True,
+        "eq3_ok": False,
+        "chain_ok": True,
+        "claim2_failed_cells": [1],
+    }
+
+
 def test_scan_paths_grid():
     spec = parse_pair_spec("paths:2-5 x paths:2-5")
     summary = scan(spec, options())
@@ -318,3 +447,25 @@ def test_summarize_counts():
 def test_record_round_trip_dict():
     record = verify_pair(generate("path", 3), generate("cycle", 3), options())
     assert InstanceRecord.from_json_dict(record.to_json_dict()) == record
+
+
+def test_k2_against_the_connected_catalog(tmp_path):
+    # K2 against every connected H on 2-6 vertices (142 pairs): the Claim 1
+    # and Claim 2 findings the replay reports today, and serial == parallel
+    from semitotal import connected_graphs, emit_graph6
+
+    right = tuple(
+        (f"g6:{g6}", g6)
+        for n in range(2, 7)
+        for g6 in map(emit_graph6, connected_graphs(n))
+    )
+    spec = FamilySpec(left=(("path:2", "A_"),), right=right)
+    serial = scan(spec, options())
+    assert serial.total == 142 and serial.skipped == 0
+    write_jsonl(tmp_path / "serial.jsonl", serial.records)
+    write_jsonl(tmp_path / "parallel.jsonl", scan(spec, options(workers=2)).records)
+    assert comparison_form(tmp_path / "serial.jsonl") == comparison_form(
+        tmp_path / "parallel.jsonl"
+    )
+    kinds = Counter(f["kind"] for f in serial.findings)
+    assert kinds == {"claim1_failure": 11, "claim2_edge_case": 113}
