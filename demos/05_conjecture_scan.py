@@ -24,7 +24,7 @@ def main():
     print(summary.render())
     print()
 
-    hunt = hunt_from_records(summary.records, threshold=(1, 2), closest_k=10)
+    hunt = hunt_from_records(summary.records, threshold=(1, 2))
     print(hunt.render())
     print()
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .graphs import Graph, cartesian_product, generate
+from .graphs import FAMILIES, PRODUCT_SIZE_CAP, Graph, cartesian_product, generate
 from .harness import REPLAY_CHECKS, ScanOptions, hunt_from_records, scan, verify_pair
 from .io import (
     FamilySpecError,
@@ -80,10 +80,15 @@ def _cmd_product(args) -> int:
 
 
 def _make_options(args) -> ScanOptions:
+    """The scan options of the flags, range-checked before any work starts."""
+    cap = args.product_cap
+    workers = getattr(args, "workers", None)
+    if cap is not None and not 1 <= cap <= PRODUCT_SIZE_CAP:
+        raise _UsageError(f"--product-cap must be between 1 and {PRODUCT_SIZE_CAP}")
+    if workers is not None and workers < 1:
+        raise _UsageError("--workers must be at least 1")
     return ScanOptions(
-        replay=not getattr(args, "no_replay", False),
-        product_cap=getattr(args, "product_cap", None),
-        workers=getattr(args, "workers", None),
+        replay=not getattr(args, "no_replay", False), product_cap=cap, workers=workers
     )
 
 
@@ -92,8 +97,9 @@ def _cmd_scan(args) -> int:
         raise _UsageError("scan needs exactly one of --spec or --spec-json")
     if args.threshold_den <= 0:
         raise _UsageError("--threshold-den must be positive")
+    options = _make_options(args)
     spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
-    summary = scan(spec, _make_options(args))
+    summary = scan(spec, options)
     write_jsonl(args.out, summary.records)
     write_csv(args.csv or Path(args.out).with_suffix(".csv"), summary.records)
     print(summary.render())
@@ -105,9 +111,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify_proof(args) -> int:
+    options = _make_options(args)
     lid, left = _factor_from_token(args.left)
     rid, right = _factor_from_token(args.right)
-    options = ScanOptions(replay=True, product_cap=args.product_cap)
     record = verify_pair(left, right, options, left_id=lid, right_id=rid)
     if record.skipped:
         print(f"skipped: {record.skipped}")
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute one invariant of one graph")
-    solve.add_argument("--family", choices=("path", "cycle", "complete", "star", "random"))
+    solve.add_argument("--family", choices=FAMILIES)
     solve.add_argument("--n", type=int)
     solve.add_argument("--p", type=float, help="edge probability for --family random")
     solve.add_argument("--seed", type=int, help="PRNG seed for --family random")

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 
 INF = math.inf
 
-# Guard on product allocation, not a comfort promise; overridable per call.
+# Guard on product allocation, not a comfort promise.
 PRODUCT_SIZE_CAP = 4096
 
 FAMILIES = ("path", "cycle", "complete", "star", "random")
@@ -279,12 +279,12 @@ class ProductGraph:
         return f"ProductGraph({self.n_g}x{self.n_h})"
 
 
-def cartesian_product(g: Graph, h: Graph, size_cap: int = PRODUCT_SIZE_CAP) -> ProductGraph:
+def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product G x H: coordinates adjacent iff equal in one factor
     and adjacent in the other."""
     n = g.n * h.n
-    if n > size_cap:
-        raise ValueError(f"product on {n} vertices exceeds size cap {size_cap}")
+    if n > PRODUCT_SIZE_CAP:
+        raise ValueError(f"product on {n} vertices exceeds size cap {PRODUCT_SIZE_CAP}")
     adj = [0] * n
     for gu in range(g.n):
         base = gu * h.n

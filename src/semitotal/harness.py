@@ -37,6 +37,8 @@ from .solvers import (
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
 
+HUNT_CLOSEST = 10
+
 REPLAY_CHECKS = ("pi_valid", "claim1", "claim2", "eq1", "eq2", "eq3")
 
 
@@ -276,7 +278,7 @@ def verify_pair(
 
     profiles = project_profiles(prod, d, pi)
     cover = build_cover_index(prod, d, pi, profiles)
-    column_report = check_column_bounds(prod, d, ap, pi, profiles, cover, record.gamma_t2_prod)
+    column_report = check_column_bounds(prod, d, ap, pi, cover, record.gamma_t2_prod)
     record.replay["claim1"] = _status(column_report.ok)
     for check in column_report.columns:
         if not check.ok:
@@ -347,34 +349,22 @@ class ScanSummary:
 
 def _pair_task(task) -> InstanceRecord:
     lid, g6g, rid, g6h, options = task
+    g, h = parse_graph6(g6g), parse_graph6(g6h)
     try:
-        g = _graph_from_cache(g6g)
-        h = _graph_from_cache(g6h)
         return verify_pair(g, h, options, left_id=lid, right_id=rid)
-    except ValueError as exc:  # IsolateError included
-        # single-instance failures become skipped records, never abort a scan
-        record = _new_record(g6g, g6h, parse_graph6(g6g).n, parse_graph6(g6h).n, lid, rid)
+    except IsolateError as exc:
+        # an isolated factor becomes a skipped record, never aborts a scan
+        record = _new_record(g6g, g6h, g.n, h.n, lid, rid)
         record.skipped = f"error: {exc}"
         return record
-
-
-_GRAPH_CACHE: dict[str, Graph] = {}
-
-
-def _graph_from_cache(g6: str) -> Graph:
-    # keyed by graph6 so identical factors never cross-contaminate
-    graph = _GRAPH_CACHE.get(g6)
-    if graph is None:
-        graph = parse_graph6(g6)
-        _GRAPH_CACHE[g6] = graph
-    return graph
 
 
 def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
     """Run verify_pair over the grid of factor descriptors, in spec order.
 
-    Single-instance errors become skipped records, never aborts.  Results are
-    merged in spec order regardless of worker scheduling.
+    A pair with an isolated factor becomes a skipped record; any other error
+    propagates.  Results are merged in spec order regardless of worker
+    scheduling.
     """
     options = options or ScanOptions()
     tasks = [
@@ -422,7 +412,7 @@ def summarize(records: list[InstanceRecord]) -> ScanSummary:
 class HuntReport:
     threshold: tuple[int, int]
     findings: list[dict]
-    closest: list[dict]  # {"id", "ratio_num", "ratio_den"} nearest above threshold
+    closest: list[dict]  # {"id", "ratio_num", "ratio_den"}, the HUNT_CLOSEST nearest above
 
     def render(self) -> str:
         num, den = self.threshold
@@ -438,7 +428,6 @@ class HuntReport:
 def hunt_from_records(
     records: list[InstanceRecord],
     threshold: tuple[int, int] = (1, 2),
-    closest_k: int = 10,
 ) -> HuntReport:
     bar = Fraction(*threshold)
     findings = []
@@ -463,6 +452,6 @@ def hunt_from_records(
     above.sort(key=lambda t: (t[0], t[1]))
     closest = [
         {"id": r.id, "ratio_num": r.ratio_num, "ratio_den": r.ratio_den}
-        for _, _, r in above[:closest_k]
+        for _, _, r in above[:HUNT_CLOSEST]
     ]
     return HuntReport(threshold=threshold, findings=findings, closest=closest)

@@ -15,20 +15,15 @@ from pathlib import Path
 
 from . import __version__
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import generate
+from .graphs import FAMILIES, generate
 from .harness import REPLAY_CHECKS, InstanceRecord
 
 SCHEMA_VERSION = 1
 
+# Singular and plural name of each family a token can name; random graphs
+# need the JSON form, which carries p and seed.
 _FAMILY_NAMES = {
-    "path": "path",
-    "paths": "path",
-    "cycle": "cycle",
-    "cycles": "cycle",
-    "complete": "complete",
-    "completes": "complete",
-    "star": "star",
-    "stars": "star",
+    alias: name for name in FAMILIES if name != "random" for alias in (name, f"{name}s")
 }
 
 
@@ -102,6 +97,11 @@ def parse_pair_spec(text: str) -> FamilySpec:
 
 
 def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
+    if not isinstance(entry, dict):
+        raise FamilySpecError(f"spec entry {entry!r} is not an object")
+    for key in ("graph6_file", "graph6"):
+        if key in entry and not isinstance(entry[key], str):
+            raise FamilySpecError(f"spec entry {entry} needs a string {key!r}")
     if "graph6_file" in entry:
         path = base / entry["graph6_file"]
         try:
@@ -120,13 +120,16 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
     name = str(entry["family"]).lower()
-    lo = int(entry.get("n_min", entry.get("n", 0)))
-    hi = int(entry.get("n_max", entry.get("n", 0)))
+    try:
+        lo = int(entry.get("n_min", entry.get("n", 0)))
+        hi = int(entry.get("n_max", entry.get("n", 0)))
+        if name == "random":
+            p, seed = float(entry["p"]), int(entry["seed"])
+    except KeyError as exc:
+        raise FamilySpecError(f"random spec entry {entry} needs {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed") from None
     if name == "random":
-        for key in ("p", "seed"):
-            if key not in entry:
-                raise FamilySpecError(f"random spec entry {entry} needs {key!r}")
-        p, seed = float(entry["p"]), int(entry["seed"])
         return [
             (f"random:{n}:p{p}:s{seed}", emit_graph6(generate("random", n, p=p, seed=seed)))
             for n in range(lo, hi + 1)
@@ -148,7 +151,10 @@ def load_spec_json(path: str | Path) -> FamilySpec:
         raise FamilySpecError(f"cannot load spec file: {exc}") from None
     base = path.parent
 
-    def resolve_entries(entries) -> tuple[tuple[str, str], ...]:
+    def resolve_side(side: str) -> tuple[tuple[str, str], ...]:
+        entries = data[side]
+        if not isinstance(entries, list):
+            raise FamilySpecError(f"spec side {side!r} is not a list of entries")
         out = []
         for entry in entries:
             out.extend(_resolve_json_entry(entry, base))
@@ -156,12 +162,9 @@ def load_spec_json(path: str | Path) -> FamilySpec:
             raise FamilySpecError("spec side resolved to no graphs")
         return tuple(out)
 
-    if "left" not in data or "right" not in data:
+    if not isinstance(data, dict) or "left" not in data or "right" not in data:
         raise FamilySpecError('JSON spec needs "left" and "right" entry lists')
-    return FamilySpec(
-        left=resolve_entries(data["left"]),
-        right=resolve_entries(data["right"]),
-    )
+    return FamilySpec(left=resolve_side("left"), right=resolve_side("right"))
 
 
 def _header() -> dict:

@@ -6,7 +6,9 @@ U = {u_1..u_k} (allied members first), the machinery builds:
 
   * the cell partition of V(G): one cell per u_i, allied cells inside the
     open neighborhood of u_i, free cells inside the closed one, with a
-    distance-2 exclusion rule between allied and free cells;
+    distance-2 exclusion rule between allied and free cells that holds by
+    construction (allied cells are tried first) and that
+    ``cell_partition_violations`` checks;
   * per-cell projection profiles of a product dominating set d onto H
     (projection / missing / covered / uncovered height sets);
   * the double-counting index of (cell, height) pairs that are horizontally
@@ -130,63 +132,33 @@ class CellPartition:
 def build_cell_partition(g: Graph, ap: AlliedPartition) -> CellPartition:
     """Assign every vertex of G to a cell, least admissible index first.
 
-    Free members sit in their own cells; each allied member joins the cell of
-    its least-index neighbor inside U; every other vertex takes the least
-    cell whose owner it neighbors, skipping free cells barred by the
-    distance-2 exclusion rule.  A vertex with no admissible cell contradicts
-    the construction's existence argument and raises ``FalsificationError``.
+    Free members sit in their own cells; every other vertex, allied members
+    included, joins the first cell in ``ap.order`` whose owner it neighbors.
+    Allied cells come first in that order, so a vertex next to an allied
+    member never reaches a free cell, and the distance-2 exclusion between
+    allied and free cells holds by construction; ``cell_partition_violations``
+    checks it.  A vertex with no admissible cell contradicts the
+    construction's existence argument and raises ``FalsificationError``.
     """
     order = ap.order
-    k = len(order)
-    ell = ap.allied_count
-    cells = [0] * k
-    for j in range(ell, k):
-        cells[j] |= 1 << order[j]
-    for i in range(ell):
-        u_i = order[i]
-        host = None
-        for pos in range(k):
-            if g.adj[u_i] >> order[pos] & 1:
-                host = pos
-                break
-        if host is None:
-            raise FalsificationError(
-                f"allied member {u_i} has no neighbor inside the set",
-                {"vertex": u_i, "members": ap.members.vertices()},
-            )
-        cells[host] |= 1 << u_i
-    allied_positions = range(ell)
-    for w in range(g.n):
-        if ap.members.mask >> w & 1:
-            continue
-        assigned = None
-        for pos in range(k):
-            owner = order[pos]
-            if not g.adj[owner] >> w & 1:
-                continue
-            if pos >= ell:
-                barred = False
-                for apos in allied_positions:
-                    a = order[apos]
-                    # w neighbours both, so a and owner are at distance 2
-                    # unless adjacent
-                    if g.adj[a] >> w & 1 and not g.adj[a] >> owner & 1:
-                        barred = True
-                        break
-                if barred:
-                    continue
-            assigned = pos
-            break
-        if assigned is None:
-            raise FalsificationError(
-                f"no admissible cell for vertex {w}",
-                {
-                    "vertex": w,
-                    "members": ap.members.vertices(),
-                    "allied": ap.allied.vertices(),
-                },
-            )
-        cells[assigned] |= 1 << w
+    cells = [0] * len(order)
+    for pos in range(ap.allied_count, len(order)):
+        cells[pos] = 1 << order[pos]
+    # each owner in turn takes its neighbours that no earlier owner took
+    unassigned = ((1 << g.n) - 1) & ~ap.free.mask
+    for pos, owner in enumerate(order):
+        cells[pos] |= g.adj[owner] & unassigned
+        unassigned &= ~g.adj[owner]
+    if unassigned:
+        w = (unassigned & -unassigned).bit_length() - 1
+        raise FalsificationError(
+            f"no admissible cell for vertex {w}",
+            {
+                "vertex": w,
+                "members": ap.members.vertices(),
+                "allied": ap.allied.vertices(),
+            },
+        )
     return CellPartition(cells=tuple(VertexSet(g.n, m) for m in cells))
 
 
@@ -345,7 +317,6 @@ def build_column_witness(
     ap: AlliedPartition,
     pi: CellPartition,
     v: int,
-    profiles: tuple[CellProfile, ...],
     cover: CoverIndex,
 ) -> VertexSet:
     """Replacement semi-total dominating set of G assembled from column v.
@@ -370,11 +341,7 @@ def build_column_witness(
     for i in range(k):
         if (i, v) in cover.entries:
             continue
-        owner = order[i]
-        if i < ell:
-            witness |= 1 << owner
-        elif not projection_g >> owner & 1:
-            witness |= 1 << owner
+        witness |= 1 << order[i]
     # Chosen neighbors: free owners that appear in the projection still need
     # a partner; prefer a neighbor inside the owner's own cell.
     for i in range(ell, k):
@@ -431,16 +398,15 @@ def check_column_bounds(
     d: VertexSet,
     ap: AlliedPartition,
     pi: CellPartition,
-    profiles: tuple[CellProfile, ...],
     cover: CoverIndex,
-    minimum_value: int | None,
+    minimum_value: int,
 ) -> ColumnReport:
     """Per-column bound |R^v| <= 2|D^v| plus witness validation.
 
     The bound's contradiction frame assumes d is a verified minimum set;
     when it is not, the report is marked not applicable instead of checked.
     """
-    if minimum_value is None or len(d) != minimum_value:
+    if len(d) != minimum_value:
         return ColumnReport(applicable=False, columns=())
     g = prod.left
     gamma_g = ap.size
@@ -448,7 +414,7 @@ def check_column_bounds(
     for v in range(prod.n_h):
         rv = cover.col_counts[v]
         dv = (d.mask & prod.col_masks[v]).bit_count()
-        witness = build_column_witness(prod, d, ap, pi, v, profiles, cover)
+        witness = build_column_witness(prod, d, ap, pi, v, cover)
         valid = is_semitotal_dominating(g, witness)
         size_ok = len(witness) <= 2 * dv + gamma_g - rv
         checks.append(

@@ -76,7 +76,7 @@ class Bundle:
         self.profiles = project_profiles(self.prod, self.d, self.pi)
         self.cover = build_cover_index(self.prod, self.d, self.pi, self.profiles)
         self.column_report = check_column_bounds(
-            self.prod, self.d, self.ap, self.pi, self.profiles, self.cover, self.gamma_prod
+            self.prod, self.d, self.ap, self.pi, self.cover, self.gamma_prod
         )
         self.connectors = [build_connector_set(h, p) for p in self.profiles]
         self.counting = counting_checks(
@@ -316,7 +316,7 @@ def test_criterion_6_connector_reporting(sweep_bundles, sweep_summary):
 
 
 def test_criterion_7_conjecture_scan(sweep_summary):
-    report = hunt_from_records(sweep_summary.records, (1, 2), closest_k=10)
+    report = hunt_from_records(sweep_summary.records, (1, 2))
     minimum = sweep_summary.min_ratio
     ok = (
         not report.findings

@@ -152,6 +152,54 @@ def test_scan_json_random_entry_needs_p_and_seed(capsys, tmp_path, key):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"left": 5}, "spec side 'left' is not a list"),
+        ({"left": {"family": "path", "n": 2}}, "spec side 'left' is not a list"),
+        ({"left": [5]}, "spec entry 5 is not an object"),
+        ({"left": [{"graph6": 5}]}, "needs a string 'graph6'"),
+        ({"left": [{"graph6_file": 5}]}, "needs a string 'graph6_file'"),
+        ({"left": [{"family": "path", "n": [2]}]}, "needs numeric n, p and seed"),
+        (5, '"left" and "right"'),
+    ],
+    ids=["side-number", "side-object", "entry-number", "graph6", "graph6_file", "n-list", "top"],
+)
+def test_scan_rejects_malformed_json_spec(capsys, tmp_path, spec, message):
+    if isinstance(spec, dict):
+        spec = {**spec, "right": [{"family": "path", "n": 2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "bad.jsonl"
+    code, _, err = run(capsys, "scan", "--spec-json", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--product-cap", "-1"), ("--product-cap", "0"), ("--product-cap", "4097"), ("--workers", "0")],
+)
+def test_scan_rejects_out_of_range_options_before_scanning(capsys, tmp_path, flag, value):
+    out_path = tmp_path / "o.jsonl"
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(out_path), flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err
+    assert out == ""
+    assert not out_path.exists() and not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "4097"])
+def test_verify_proof_rejects_out_of_range_product_cap(capsys, value):
+    argv = ["verify-proof", "--left", "path:2", "--right", "path:2", "--product-cap", value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "--product-cap" in err
+    assert out == ""
+
+
 def test_scan_rejects_threshold_den_zero_before_scanning(capsys, tmp_path):
     out_path = tmp_path / "z.jsonl"
     code, out, err = run(

@@ -179,9 +179,10 @@ def test_product_flat_index_convention():
 
 
 def test_product_size_cap():
-    g = generate("complete", 10)
-    with pytest.raises(ValueError, match="cap"):
-        cartesian_product(g, g, size_cap=50)
+    # 65 x 64 = 4,160 vertices, one row past the cap: refused before any
+    # adjacency is allocated
+    with pytest.raises(ValueError, match="exceeds size cap 4096"):
+        cartesian_product(generate("path", 65), generate("path", 64))
 
 
 def test_product_builds_at_size_cap():

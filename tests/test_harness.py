@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from semitotal import (
     summarize,
     verify_pair,
 )
-from semitotal.harness import REPLAY_CHECKS, _cycle_or_complete
+from semitotal.harness import HUNT_CLOSEST, REPLAY_CHECKS, _cycle_or_complete
 from semitotal.io import FamilySpec, comparison_form, parse_pair_spec, write_jsonl
 
 
@@ -399,6 +401,38 @@ def test_scan_parallel_equals_serial(tmp_path):
     assert comparison_form(serial) == comparison_form(parallel)
 
 
+@pytest.mark.parametrize(
+    "replay,digest,size,kinds,skipped",
+    [
+        (
+            True,
+            "0fb851ec7a480ec73367ab2a4c02b728f9111907a79d9da4496e6b805c69c4ad",
+            63861,
+            {"claim2_edge_case": 27, "bound_violation": 2},
+            12,
+        ),
+        (
+            False,
+            "302ebdceaa9d48594b086d7051189d5668874aa24961d5cfc6cb591440158727",
+            58606,
+            {"bound_violation": 2},
+            0,
+        ),
+    ],
+)
+def test_family_scan_output_is_pinned(tmp_path, replay, digest, size, kinds, skipped):
+    # the scan output, timing aside, byte for byte: a change that alters any
+    # record must update these digests and say why
+    spec = parse_pair_spec("paths:2-7,cycles:3-7 x paths:2-7,cycles:3-7")
+    summary = scan(spec, ScanOptions(replay=replay, workers=2))
+    assert Counter(f["kind"] for f in summary.findings) == kinds
+    assert summary.skipped == skipped
+    write_jsonl(tmp_path / "scan.jsonl", summary.records)
+    form = comparison_form(tmp_path / "scan.jsonl")
+    assert len(form) == size
+    assert hashlib.sha256(form).hexdigest() == digest
+
+
 def test_scan_single_instance_error_becomes_skip():
     # the one-vertex path is an isolate: the record is skipped, not fatal
     spec = FamilySpec(left=(("path:1", "@"),), right=(("path:2", "A_"),))
@@ -406,6 +440,33 @@ def test_scan_single_instance_error_becomes_skip():
     assert summary.total == 1
     assert summary.records[0].skipped is not None
     assert "error" in summary.records[0].skipped
+
+
+def test_scan_skips_an_isolated_factor_as_before():
+    # path:1 is an isolate: its record, timing included, byte for byte
+    summary = scan(parse_pair_spec("paths:1-3 x path:2"), options())
+    assert [r.skipped is None for r in summary.records] == [False, True, True]
+    skipped = json.dumps(summary.records[0].to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert skipped == (
+        '{"bound_thm1":null,"bound_thm1_ok":null,"bound_thm2":null,"bound_thm2_ok":null,'
+        '"claim2_cells_fail":null,"claim2_cells_pass":null,"findings":[],"gamma_t2_G":null,'
+        '"gamma_t2_H":null,"gamma_t2_prod":null,"graph6_g":"@","graph6_h":"A_",'
+        '"id":"path:1 x path:2 @ A_","left_id":"path:1","n_g":1,"n_h":2,"ratio_den":null,'
+        '"ratio_num":null,"replay":{"claim1":"skipped","claim2":"skipped","eq1":"skipped",'
+        '"eq2":"skipped","eq3":"skipped","pi_valid":"skipped"},"rho_G":null,'
+        '"right_id":"path:2","skipped":"error: left factor has an isolated vertex","timing":{}}'
+    )
+
+
+def test_scan_raises_an_internal_error_instead_of_skipping(monkeypatch):
+    import semitotal.harness
+
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(semitotal.harness, "project_profiles", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        scan(parse_pair_spec("path:2 x path:2"), options())
 
 
 def test_hunt_default_threshold_no_findings():
@@ -430,10 +491,12 @@ def test_hunt_threshold_third_guaranteed_empty():
 
 
 def test_hunt_closest_k_limit():
+    # 16 records, none below 1/2: the report keeps the 10 nearest
     spec = parse_pair_spec("paths:2-5 x paths:2-5")
     summary = scan(spec, options())
-    report = hunt_from_records(summary.records, (1, 2), closest_k=3)
-    assert len(report.closest) == 3
+    report = hunt_from_records(summary.records, (1, 2))
+    assert summary.total == 16 and report.findings == []
+    assert len(report.closest) == HUNT_CLOSEST == 10
 
 
 def test_summarize_counts():

@@ -169,6 +169,50 @@ def test_cell_partition_random_sweep():
     assert checked >= 200
 
 
+def _first_neighbouring_cell(g, ap):
+    """The cell partition by its defining rule: each free member owns a cell,
+    and every other vertex joins the first cell in ``ap.order`` whose owner
+    neighbours it."""
+    cells = [0] * ap.size
+    for w in range(g.n):
+        if w in ap.free:
+            cells[ap.order.index(w)] |= 1 << w
+        else:
+            pos = next(p for p, owner in enumerate(ap.order) if g.adj[owner] >> w & 1)
+            cells[pos] |= 1 << w
+    return [VertexSet(g.n, m) for m in cells]
+
+
+def test_cell_partition_is_first_neighbouring_cell():
+    # allied cells come first in ap.order, so a vertex next to an allied
+    # member never reaches a free cell: the distance-2 exclusion holds by
+    # construction, on every connected graph of 2-7 vertices and on random
+    # isolate-free graphs of 4-13 vertices
+    from semitotal import connected_graphs
+
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    assert len(graphs) == 995
+    for seed in range(1000):
+        g = generate("random", 4 + seed % 10, p=0.4, seed=seed)
+        if g.is_isolate_free():
+            graphs.append(g)
+    assert len(graphs) > 1600
+    for g in graphs:
+        ap = max_allied_set(g)
+        pi = build_cell_partition(g, ap)
+        assert list(pi.cells) == _first_neighbouring_cell(g, ap), g.adj
+        assert cell_partition_violations(g, ap, pi) == [], g.adj
+
+
+def test_cell_partition_reports_a_vertex_with_no_cell():
+    # a hand-built split of P3 whose only member 0 misses vertex 2
+    from semitotal import AlliedPartition, FalsificationError
+
+    ap = AlliedPartition(members=vs(3, 0), allied=vs(3), free=vs(3, 0), order=(0,))
+    with pytest.raises(FalsificationError, match="no admissible cell for vertex 2"):
+        build_cell_partition(generate("path", 3), ap)
+
+
 def test_cell_partition_free_cells_contain_owner():
     g = generate("path", 5)
     ap = max_allied_set(g)  # all free for P5
@@ -269,7 +313,7 @@ def test_cover_index_full_product_set():
 def test_column_checks_p2_p2():
     g = generate("path", 2)
     prod, d, ap, pi, profiles, cover = replay_bundle(g, g)
-    report = check_column_bounds(prod, d, ap, pi, profiles, cover, len(d))
+    report = check_column_bounds(prod, d, ap, pi, cover, len(d))
     assert report.applicable and report.ok
     for check in report.columns:
         assert check.inequality_ok and check.witness_valid and check.witness_size_ok
@@ -282,7 +326,7 @@ def test_column_checks_not_applicable_for_non_minimum():
     oversized = VertexSet.from_vertices(4, [0, 1, 2])
     profiles2 = project_profiles(prod, oversized, pi)
     cover2 = build_cover_index(prod, oversized, pi, profiles2)
-    report = check_column_bounds(prod, oversized, ap, pi, profiles2, cover2, len(d))
+    report = check_column_bounds(prod, oversized, ap, pi, cover2, len(d))
     assert not report.applicable
     assert report.ok is None
 
@@ -297,7 +341,7 @@ def test_column_witness_is_semitotal_across_families():
         prod, d, ap, pi, profiles, cover = replay_bundle(g, h)
         gamma_g = ap.size
         for v in range(prod.n_h):
-            witness = build_column_witness(prod, d, ap, pi, v, profiles, cover)
+            witness = build_column_witness(prod, d, ap, pi, v, cover)
             assert is_semitotal_dominating(g, witness)
             dv = (d.mask & prod.col_masks[v]).bit_count()
             assert len(witness) <= 2 * dv + gamma_g - cover.col_counts[v]
@@ -310,7 +354,7 @@ def test_column_witness_algebra_recovers_column_bound():
     prod, d, ap, pi, profiles, cover = replay_bundle(g, h)
     gamma_g = ap.size
     for v in range(prod.n_h):
-        witness = build_column_witness(prod, d, ap, pi, v, profiles, cover)
+        witness = build_column_witness(prod, d, ap, pi, v, cover)
         assert is_semitotal_dominating(g, witness)
         dv = (d.mask & prod.col_masks[v]).bit_count()
         assert gamma_g <= len(witness)
