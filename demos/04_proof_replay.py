@@ -56,7 +56,7 @@ def main():
     print(f"  row sums {cover.row_counts} -> {sum(cover.row_counts)}")
     print(f"  column sums {cover.col_counts} -> {sum(cover.col_counts)}")
 
-    report = check_column_bounds(prod, d, ap, pi, cover, len(d))
+    report = check_column_bounds(prod, d, ap, pi, cover)
     print("\nper-column checks (|R^v| <= 2|D^v| and replacement-set validity):")
     for check in report.columns:
         print(

@@ -3,7 +3,10 @@
 Subcommands: solve, product, scan, verify-proof, report.  Exit codes are a
 stable contract: 0 success, 2 usage or parse error, 3 violated precondition
 (isolated vertex where an isolate-free graph is required), 4 a bound
-violation was found (monitorable as a distinct failure class).
+violation was found (monitorable as a distinct failure class).  Bad input is
+turned into a usage error where it enters (an undecodable input file
+included); any other exception is an internal error and exits 1 with a
+traceback.
 """
 
 import argparse
@@ -45,7 +48,10 @@ def _load_single_graph(args) -> Graph:
     if args.family is not None:
         if args.n is None:
             raise _UsageError("--family needs --n")
-        return generate(args.family, args.n, p=args.p, seed=args.seed)
+        try:
+            return generate(args.family, args.n, p=args.p, seed=args.seed)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     text = Path(args.graph6_file).read_text()
@@ -74,8 +80,9 @@ def _cmd_solve(args) -> int:
 def _cmd_product(args) -> int:
     _, left = _factor_from_token(args.left)
     _, right = _factor_from_token(args.right)
-    prod = cartesian_product(left, right)
-    print(emit_graph6(prod.graph))
+    if left.n * right.n > PRODUCT_SIZE_CAP:
+        raise _UsageError(f"product on {left.n * right.n} vertices exceeds size cap {PRODUCT_SIZE_CAP}")
+    print(emit_graph6(cartesian_product(left, right).graph))
     return EXIT_OK
 
 
@@ -139,7 +146,11 @@ def _cmd_verify_proof(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    print(render_csv_report(args.csv))
+    try:
+        table = render_csv_report(args.csv)
+    except ValueError as exc:  # not a scan CSV, or a cell that is not a number
+        raise _UsageError(str(exc)) from None
+    print(table)
     return EXIT_OK
 
 
@@ -198,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     except IsolateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (_UsageError, Graph6Error, FamilySpecError, ValueError, OSError) as exc:
+    except (_UsageError, Graph6Error, FamilySpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,13 @@
 """Bitset-backed immutable graphs: vertex sets, generators, distances, products.
 
 Graphs live on vertices 0..n-1 with adjacency stored as one integer bitmask
-per vertex.  Distance tests go through neighbourhood masks (``closed``,
-``ball2``); ``dist`` runs one breadth-first search per call, and disconnected
-pairs carry the ``INF`` sentinel.
+per vertex.  This module is the one place that computes masks: the open
+neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
+(``closed``), the semi-total partners within distance 2 (``partners``,
+``ball2``) and the product's flat-index layout (``ProductGraph.rows``,
+``project_left``, ``project_right``, ``col_masks``).  ``dist`` runs one
+breadth-first search per call, and disconnected pairs carry the ``INF``
+sentinel.
 """
 
 import math
@@ -121,11 +125,11 @@ class Graph:
     """Simple undirected graph stored as neighbourhood bitmasks.
 
     ``adj[v]`` is the open-neighborhood bitmask of vertex v and ``closed[v]``
-    the closed one; the distance-2 balls are built on first use.  Instances
+    the closed one; the partner masks are built on first use.  Instances
     are immutable after construction and safe to share across workers.
     """
 
-    __slots__ = ("n", "adj", "closed", "_ball2")
+    __slots__ = ("n", "adj", "closed", "_partners")
 
     def __init__(self, n: int, adj: Iterable[int]):
         if n < 1:
@@ -146,7 +150,7 @@ class Graph:
         self.n = n
         self.adj = adj
         self.closed = tuple(adj[v] | (1 << v) for v in range(n))
-        self._ball2 = None
+        self._partners = None
 
     def dist(self, u: int, v: int):
         """Hop distance between u and v (``INF`` when disconnected), by BFS."""
@@ -164,17 +168,27 @@ class Graph:
             for v in _bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 
+    def neighborhood(self, mask: int) -> int:
+        """N(S) of the set with bitmask ``mask``: every vertex adjacent to a
+        member (a member only through another member)."""
+        out = 0
+        for v in _bits(mask):
+            out |= self.adj[v]
+        return out
+
+    @property
+    def partners(self) -> tuple[int, ...]:
+        """``partners[v]``: the vertices other than v within distance 2 of v,
+        the members that can be v's semi-total partner."""
+        if self._partners is None:
+            self._partners = tuple(
+                self.neighborhood(self.closed[v]) & ~(1 << v) for v in range(self.n)
+            )
+        return self._partners
+
     def ball2(self, v: int) -> int:
         """Bitmask of vertices within distance 2 of v, including v."""
-        if self._ball2 is None:
-            balls = []
-            for u in range(self.n):
-                b = self.closed[u]
-                for w in _bits(self.adj[u]):
-                    b |= self.closed[w]
-                balls.append(b)
-            self._ball2 = tuple(balls)
-        return self._ball2[v]
+        return self.partners[v] | 1 << v
 
     def is_isolate_free(self) -> bool:
         return all(row != 0 for row in self.adj)
@@ -240,8 +254,9 @@ class ProductGraph:
     """Cartesian product of two graphs with the flat-index bijection.
 
     Vertex (g, h) lives at flat index ``g * n_h + h``; the convention is part
-    of the persistence format and must stay stable.  The factor graphs ride
-    along for projection work.
+    of the persistence format and must stay stable, and only this class
+    computes with it.  Row g holds the vertices (g, *) and column h the
+    vertices (*, h).  The factor graphs ride along for projection work.
     """
 
     __slots__ = ("graph", "left", "right", "n_g", "n_h", "col_masks")
@@ -252,14 +267,9 @@ class ProductGraph:
         self.right = right
         self.n_g = left.n
         self.n_h = right.n
-        cols = []
-        for h in range(self.n_h):
-            m = 0
-            for g in range(self.n_g):
-                m |= 1 << (g * self.n_h + h)
-            cols.append(m)
         # col_masks[h]: all product vertices at height h
-        self.col_masks = tuple(cols)
+        col0 = sum(1 << (g * self.n_h) for g in range(self.n_g))
+        self.col_masks = tuple(col0 << h for h in range(self.n_h))
 
     def encode(self, g: int, h: int) -> int:
         if not (0 <= g < self.n_g and 0 <= h < self.n_h):
@@ -271,9 +281,24 @@ class ProductGraph:
             raise ValueError(f"flat index {index} outside product range")
         return divmod(index, self.n_h)
 
-    def row_mask(self, g: int) -> int:
-        """All product vertices with first coordinate g."""
-        return ((1 << self.n_h) - 1) << (g * self.n_h)
+    def rows(self, g_mask: int) -> int:
+        """All product vertices whose first coordinate is in ``g_mask``."""
+        row = (1 << self.n_h) - 1
+        return sum(row << (g * self.n_h) for g in _bits(g_mask))  # rows are disjoint
+
+    def project_left(self, mask: int) -> int:
+        """First coordinates of the product vertices in ``mask``, as a mask of G."""
+        row = (1 << self.n_h) - 1
+        return sum(1 << g for g in range(self.n_g) if mask >> (g * self.n_h) & row)
+
+    def project_right(self, mask: int) -> int:
+        """Second coordinates of the product vertices in ``mask``, as a mask of H."""
+        row = (1 << self.n_h) - 1
+        out = 0
+        while mask:
+            out |= mask & row
+            mask >>= self.n_h
+        return out
 
     def __repr__(self) -> str:
         return f"ProductGraph({self.n_g}x{self.n_h})"
@@ -301,23 +326,3 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     if prod.graph.edge_count != expected:
         raise AssertionError(f"product has {prod.graph.edge_count} edges, expected {expected}")
     return prod
-
-
-def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N[S] = S together with every neighbor of a member of S."""
-    if s.n != g.n:
-        raise ValueError("vertex set bound to a different graph order")
-    mask = s.mask
-    for v in _bits(s.mask):
-        mask |= g.adj[v]
-    return VertexSet(g.n, mask)
-
-
-def open_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N(S): every neighbor of a member of S (members only via other members)."""
-    if s.n != g.n:
-        raise ValueError("vertex set bound to a different graph order")
-    mask = 0
-    for v in _bits(s.mask):
-        mask |= g.adj[v]
-    return VertexSet(g.n, mask)

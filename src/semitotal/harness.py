@@ -148,9 +148,7 @@ def _finding(
     }
 
 
-def _status(ok: bool | None) -> str:
-    if ok is None:
-        return "skipped"
+def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
@@ -278,7 +276,7 @@ def verify_pair(
 
     profiles = project_profiles(prod, d, pi)
     cover = build_cover_index(prod, d, pi, profiles)
-    column_report = check_column_bounds(prod, d, ap, pi, cover, record.gamma_t2_prod)
+    column_report = check_column_bounds(prod, d, ap, pi, cover)
     record.replay["claim1"] = _status(column_report.ok)
     for check in column_report.columns:
         if not check.ok:

@@ -39,17 +39,20 @@ class FamilySpec:
     right: tuple[tuple[str, str], ...]
 
 
+def _generated(ident: str, name: str, n: int, **params) -> tuple[str, str]:
+    """(ident, graph6) of a generated family member; a parameter that
+    ``generate`` refuses is a spec error."""
+    try:
+        graph = generate(name, n, **params)
+    except ValueError as exc:
+        raise FamilySpecError(str(exc)) from None
+    return ident, emit_graph6(graph)
+
+
 def _resolve_family(name: str, lo: int, hi: int) -> list[tuple[str, str]]:
     if hi < lo:
         raise FamilySpecError(f"empty range {lo}-{hi} for family {name}")
-    out = []
-    for n in range(lo, hi + 1):
-        try:
-            graph = generate(name, n)
-        except ValueError as exc:
-            raise FamilySpecError(str(exc)) from None
-        out.append((f"{name}:{n}", emit_graph6(graph)))
-    return out
+    return [_generated(f"{name}:{n}", name, n) for n in range(lo, hi + 1)]
 
 
 def parse_factor_token(token: str) -> list[tuple[str, str]]:
@@ -131,7 +134,7 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
         raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed") from None
     if name == "random":
         return [
-            (f"random:{n}:p{p}:s{seed}", emit_graph6(generate("random", n, p=p, seed=seed)))
+            _generated(f"random:{n}:p{p}:s{seed}", "random", n, p=p, seed=seed)
             for n in range(lo, hi + 1)
         ]
     family = _FAMILY_NAMES.get(name)
@@ -256,7 +259,7 @@ def render_csv_report(path: str | Path) -> str:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
-    if not rows or rows[0] != list(CSV_COLUMNS):
+    if not rows or rows[0] != list(CSV_COLUMNS) or any(len(r) != len(CSV_COLUMNS) for r in rows):
         raise ValueError(f"{path}: not a scan summary CSV")
     body = rows[1:]
     widths = [len(c) for c in CSV_COLUMNS]

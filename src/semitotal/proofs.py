@@ -12,7 +12,8 @@ U = {u_1..u_k} (allied members first), the machinery builds:
   * per-cell projection profiles of a product dominating set d onto H
     (projection / missing / covered / uncovered height sets);
   * the double-counting index of (cell, height) pairs that are horizontally
-    dominated or uncovered, counted by rows and by columns;
+    dominated or uncovered, one mask of cells per height, counted by rows
+    and by columns;
   * a per-column replacement semi-total dominating set of G witnessing the
     column bound |R^v| <= 2|D^v|;
   * per-cell connector sets turning missing+projection into a semi-total
@@ -20,7 +21,8 @@ U = {u_1..u_k} (allied members first), the machinery builds:
 
 All tie-breaking (cell assignment, neighbor choice, path midpoints) is
 least-index so findings replay exactly.  Checks report failures; they never
-patch them.
+patch them.  Neighbourhoods, partner masks and the product's rows, columns
+and projections are read from ``graphs``, never re-derived here.
 """
 
 from dataclasses import dataclass
@@ -91,10 +93,7 @@ def allied_split(g: Graph, u: VertexSet) -> AlliedPartition:
 
 def _allied_partition(g: Graph, u: VertexSet) -> AlliedPartition:
     """The split of ``allied_split``, for a set already known to be minimum."""
-    allied_mask = 0
-    for v in _bits(u.mask):
-        if g.adj[v] & u.mask:
-            allied_mask |= 1 << v
+    allied_mask = u.mask & g.neighborhood(u.mask)
     free_mask = u.mask & ~allied_mask
     order = tuple(_bits(allied_mask)) + tuple(_bits(free_mask))
     return AlliedPartition(
@@ -114,7 +113,7 @@ def max_allied_set(g: Graph, *, gamma_t2: int | None = None) -> AlliedPartition:
     best = None
     best_allied = -1
     for u in enumerate_min_semitotal_sets(g, gamma_t2=gamma_t2):
-        allied = sum(1 for v in _bits(u.mask) if g.adj[v] & u.mask)
+        allied = (u.mask & g.neighborhood(u.mask)).bit_count()
         if allied > best_allied:
             best, best_allied = u, allied
     if best is None:
@@ -223,35 +222,24 @@ def project_profiles(prod: ProductGraph, d: VertexSet, pi: CellPartition) -> tup
     if not _semitotal_dominating_mask(pg, d.mask):
         raise ValueError("project_profiles: set failed predicate is_semitotal_dominating")
     h = prod.right
-    n_h = prod.n_h
-    full_h = (1 << n_h) - 1
+    full_h = (1 << h.n) - 1
     profiles = []
     for i, cell in enumerate(pi.cells):
         if cell.n != prod.n_g:
             raise ValueError("cell partition bound to a different factor order")
-        members = 0
-        for u in _bits(cell.mask):
-            members |= d.mask & prod.row_mask(u)
-        proj = 0
-        for idx in _bits(members):
-            proj |= 1 << (idx % n_h)
-        dominated = 0
-        for v in _bits(proj):
-            dominated |= h.closed[v]
-        missing = full_h & ~dominated
-        covered = 0
-        for v in _bits(proj):
-            if (proj | missing) & h.ball2(v) & ~(1 << v):
-                covered |= 1 << v
+        members = d.mask & prod.rows(cell.mask)
+        proj = prod.project_right(members)
+        missing = full_h & ~(proj | h.neighborhood(proj))
+        covered = sum(1 << v for v in _bits(proj) if (proj | missing) & h.partners[v])
         uncovered = proj & ~covered
         profiles.append(
             CellProfile(
                 index=i,
                 members=VertexSet(pg.n, members),
-                projection=VertexSet(n_h, proj),
-                missing=VertexSet(n_h, missing),
-                covered=VertexSet(n_h, covered),
-                uncovered=VertexSet(n_h, uncovered),
+                projection=VertexSet(h.n, proj),
+                missing=VertexSet(h.n, missing),
+                covered=VertexSet(h.n, covered),
+                uncovered=VertexSet(h.n, uncovered),
             )
         )
     return tuple(profiles)
@@ -261,13 +249,15 @@ def project_profiles(prod: ProductGraph, d: VertexSet, pi: CellPartition) -> tup
 class CoverIndex:
     """Double-counting index over (cell, height) pairs.
 
-    A pair is present when the cell's slab at that height is horizontally
-    dominated by the height's set members, or the height is uncovered for
-    the cell.  ``row_counts`` and ``col_counts`` count the same entries two
-    ways, so their sums agree exactly.
+    Cell i is indexed at height v when the cell's slab at that height is
+    horizontally dominated by the height's set members, or the height is
+    uncovered for the cell.  ``indexed[v]`` is the mask of the cell
+    positions (in ``ap.order``) indexed at height v.  ``row_counts`` and
+    ``col_counts`` count the same pairs two ways, so their sums agree
+    exactly.
     """
 
-    entries: frozenset[tuple[int, int]]
+    indexed: tuple[int, ...]
     row_counts: tuple[int, ...]
     col_counts: tuple[int, ...]
     total: int
@@ -279,32 +269,22 @@ def build_cover_index(
     pi: CellPartition,
     profiles: tuple[CellProfile, ...],
 ) -> CoverIndex:
-    pg = prod.graph
-    n_h = prod.n_h
-    k = len(pi.cells)
-    entries = set()
-    for v in range(n_h):
-        col = prod.col_masks[v]
-        dv = d.mask & col
-        horizon = 0
-        for idx in _bits(dv):
-            horizon |= pg.adj[idx]
-        for i, cell in enumerate(pi.cells):
-            slab = 0
-            for u in _bits(cell.mask):
-                slab |= 1 << (u * n_h + v)
-            if slab & ~horizon == 0 or profiles[i].uncovered.mask >> v & 1:
-                entries.add((i, v))
-    row_counts = tuple(sum(1 for (i, v) in entries if i == row) for row in range(k))
-    col_counts = tuple(sum(1 for (i, v) in entries if v == col) for col in range(n_h))
-    total = len(entries)
-    if not sum(row_counts) == sum(col_counts) == total:
-        raise AssertionError(
-            f"cover index counts disagree: rows {sum(row_counts)}, "
-            f"columns {sum(col_counts)}, entries {total}"
-        )
+    cell_rows = [prod.rows(cell.mask) for cell in pi.cells]
+    indexed = []
+    for v, col in enumerate(prod.col_masks):
+        horizon = prod.graph.neighborhood(d.mask & col)
+        at_v = 0
+        for i, rows in enumerate(cell_rows):
+            if rows & col & ~horizon == 0 or profiles[i].uncovered.mask >> v & 1:
+                at_v |= 1 << i
+        indexed.append(at_v)
+    row_counts = tuple(sum(at_v >> i & 1 for at_v in indexed) for i in range(len(cell_rows)))
+    col_counts = tuple(at_v.bit_count() for at_v in indexed)
+    total = sum(col_counts)
+    if sum(row_counts) != total:
+        raise AssertionError(f"cover index counts disagree: rows {sum(row_counts)}, columns {total}")
     return CoverIndex(
-        entries=frozenset(entries),
+        indexed=tuple(indexed),
         row_counts=row_counts,
         col_counts=col_counts,
         total=total,
@@ -327,26 +307,22 @@ def build_column_witness(
     another free member but at distance 3 or more from every allied member.
     """
     g = prod.left
-    n_h = prod.n_h
-    if not 0 <= v < n_h:
+    if not 0 <= v < prod.n_h:
         raise ValueError(f"height {v} outside factor range")
     order = ap.order
     k = len(order)
     ell = ap.allied_count
-    col = prod.col_masks[v]
-    projection_g = 0
-    for idx in _bits(d.mask & col):
-        projection_g |= 1 << (idx // n_h)
+    indexed = cover.indexed[v]
+    projection_g = prod.project_left(d.mask & prod.col_masks[v])
     witness = projection_g
     for i in range(k):
-        if (i, v) in cover.entries:
-            continue
-        witness |= 1 << order[i]
+        if not indexed >> i & 1:
+            witness |= 1 << order[i]
     # Chosen neighbors: free owners that appear in the projection still need
     # a partner; prefer a neighbor inside the owner's own cell.
     for i in range(ell, k):
         owner = order[i]
-        if (i, v) in cover.entries or not projection_g >> owner & 1:
+        if indexed >> i & 1 or not projection_g >> owner & 1:
             continue
         candidates = g.adj[owner] & pi.cells[i].mask
         if not candidates:
@@ -356,7 +332,7 @@ def build_column_witness(
     # at distance 2 from another free member.
     for j in range(ell, k):
         owner = order[j]
-        if (j, v) not in cover.entries:
+        if not indexed >> j & 1:
             continue
         ball = g.ball2(owner)
         near_free = ball & ~g.closed[owner] & ap.free.mask
@@ -383,13 +359,10 @@ class ColumnCheck:
 
 @dataclass(frozen=True)
 class ColumnReport:
-    applicable: bool
     columns: tuple[ColumnCheck, ...]
 
     @property
-    def ok(self) -> bool | None:
-        if not self.applicable:
-            return None
+    def ok(self) -> bool:
         return all(c.ok for c in self.columns)
 
 
@@ -399,15 +372,12 @@ def check_column_bounds(
     ap: AlliedPartition,
     pi: CellPartition,
     cover: CoverIndex,
-    minimum_value: int,
 ) -> ColumnReport:
     """Per-column bound |R^v| <= 2|D^v| plus witness validation.
 
-    The bound's contradiction frame assumes d is a verified minimum set;
-    when it is not, the report is marked not applicable instead of checked.
+    The bound's contradiction frame assumes d is a minimum semi-total
+    dominating set of the product; callers pass the lexleast one.
     """
-    if len(d) != minimum_value:
-        return ColumnReport(applicable=False, columns=())
     g = prod.left
     gamma_g = ap.size
     checks = []
@@ -428,7 +398,7 @@ def check_column_bounds(
                 witness_size_ok=size_ok,
             )
         )
-    return ColumnReport(applicable=True, columns=tuple(checks))
+    return ColumnReport(columns=tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class InvariantResult:
     kind: str
     value: int
     witness: VertexSet
-    method: str  # "oracle" or "branch_and_bound"
 
 
 def _check_kind(kind: str) -> None:
@@ -65,33 +64,21 @@ def _check_set(g: Graph, s: VertexSet) -> int:
 
 
 def _dominating_mask(g: Graph, mask: int) -> bool:
-    covered = mask
-    for v in _bits(mask):
-        covered |= g.adj[v]
-    return covered == (1 << g.n) - 1
+    return mask | g.neighborhood(mask) == (1 << g.n) - 1
 
 
 def _total_dominating_mask(g: Graph, mask: int) -> bool:
-    covered = 0
-    for v in _bits(mask):
-        covered |= g.adj[v]
-    return covered == (1 << g.n) - 1
+    return g.neighborhood(mask) == (1 << g.n) - 1
 
 
 def _semitotal_dominating_mask(g: Graph, mask: int) -> bool:
-    if not _dominating_mask(g, mask):
-        return False
-    for v in _bits(mask):
-        if not mask & g.ball2(v) & ~(1 << v):
-            return False
-    return True
+    partners = g.partners
+    return _dominating_mask(g, mask) and all(mask & partners[v] for v in _bits(mask))
 
 
 def _two_packing_mask(g: Graph, mask: int) -> bool:
-    for v in _bits(mask):
-        if mask & g.ball2(v) & ~(1 << v):
-            return False
-    return True
+    partners = g.partners
+    return not any(mask & partners[v] for v in _bits(mask))
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
@@ -147,7 +134,7 @@ def solve_oracle(g: Graph, kind: str) -> InvariantResult:
             if found is None:
                 break
             best_k, best_mask = k, found
-        return InvariantResult("rho", best_k, VertexSet(n, best_mask), "oracle")
+        return InvariantResult("rho", best_k, VertexSet(n, best_mask))
     _check_isolate_free(g)
     predicate = _PREDICATES[kind]
     for k in range(1, n + 1):
@@ -156,7 +143,7 @@ def solve_oracle(g: Graph, kind: str) -> InvariantResult:
             for v in combo:
                 mask |= 1 << v
             if predicate(g, mask):
-                return InvariantResult(kind, k, VertexSet(n, mask), "oracle")
+                return InvariantResult(kind, k, VertexSet(n, mask))
     raise AssertionError("unreachable: the whole vertex set always qualifies")
 
 
@@ -180,21 +167,21 @@ def enumerate_min_semitotal_sets(g: Graph, *, gamma_t2: int | None = None) -> li
 
 def _kernel_tables(g: Graph, kind: str) -> tuple:
     """Per-graph tables of the search kernel, built once per solver call:
-    cover rows, partner balls B2(v) minus v (gamma_t2 only), negated degrees
-    (the branching order) and the counting bound's ratio (num, den): each
-    member still to add covers at most den/num uncovered vertices on average
-    (see ``_search_kernel``)."""
+    cover rows, the partner masks ``g.partners`` (gamma_t2 only), negated
+    degrees (the branching order) and the counting bound's ratio (num, den):
+    each member still to add covers at most den/num uncovered vertices on
+    average (see ``_search_kernel``)."""
     cover = g.adj if kind == "gamma_t" else g.closed
-    ball2x = [g.ball2(v) & ~(1 << v) for v in range(g.n)] if kind == "gamma_t2" else None
+    partners = g.partners if kind == "gamma_t2" else None
     negdeg = [-g.degree(v) for v in range(g.n)]
     delta = -min(negdeg)
     ratio = {"gamma": (1, delta + 1), "gamma_t": (1, delta), "gamma_t2": (2, 2 * delta + 1)}
-    return cover, ball2x, negdeg, ratio[kind]
+    return cover, partners, negdeg, ratio[kind]
 
 
 def _greedy_domination(g: Graph, tables: tuple) -> int:
     """Deterministic greedy upper bound used to seed the search incumbent."""
-    cover, ball2x, _, _ = tables
+    cover, partners, _, _ = tables
     n = g.n
     full = (1 << n) - 1
     chosen = 0
@@ -209,15 +196,15 @@ def _greedy_domination(g: Graph, tables: tuple) -> int:
                 best_v, best_gain = v, gain
         chosen |= 1 << best_v
         covered |= cover[best_v]
-    if ball2x is not None:
+    if partners is not None:
         while True:
-            lonely = [u for u in _bits(chosen) if not chosen & ball2x[u]]
+            lonely = [u for u in _bits(chosen) if not chosen & partners[u]]
             if not lonely:
                 break
             u = lonely[0]
             best_v, best_fix = -1, -1
-            for v in _bits(ball2x[u] & ~chosen):
-                fix = sum(1 for w in lonely if ball2x[w] >> v & 1)
+            for v in _bits(partners[u] & ~chosen):
+                fix = sum(1 for w in lonely if partners[w] >> v & 1)
                 if fix > best_fix:
                     best_v, best_fix = v, fix
             chosen |= 1 << best_v
@@ -268,7 +255,7 @@ def _search_kernel(
     """
     n = g.n
     full = (1 << n) - 1
-    cover, ball2x, negdeg, (num, den) = tables
+    cover, partners, negdeg, (num, den) = tables
     first = incumbent is None
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
@@ -297,9 +284,9 @@ def _search_kernel(
             bound = max(bound, disjoint)
         else:
             lonely = -1
-            if ball2x is not None:
+            if partners is not None:
                 for u in _bits(chosen):
-                    if not chosen & ball2x[u]:
+                    if not chosen & partners[u]:
                         lonely = u
                         break
             if lonely < 0:
@@ -311,7 +298,7 @@ def _search_kernel(
                 best, best_size = chosen, size
                 return first
             bound = 1
-            avail = ball2x[lonely] & ~excluded & ~chosen
+            avail = partners[lonely] & ~excluded & ~chosen
         if size + bound >= best_size:
             return False
         ex = excluded
@@ -372,20 +359,16 @@ def lexleast_min_semitotal_set(g: Graph, *, minimum: VertexSet | None = None) ->
     return VertexSet(g.n, chosen)
 
 
-def _greedy_two_packing(g: Graph) -> int:
-    conf = [g.ball2(v) & ~(1 << v) for v in range(g.n)]
-    chosen = 0
-    for v in range(g.n):
-        if not conf[v] & chosen:
-            chosen |= 1 << v
-    return chosen
-
-
 def _max_two_packing_bnb(g: Graph) -> int:
-    """Maximum independent set search on the distance-at-most-2 conflict graph."""
+    """Maximum independent set search on the distance-at-most-2 conflict
+    graph, whose rows are ``g.partners``, from the greedy packing that takes
+    each vertex in order when no earlier pick conflicts with it."""
     n = g.n
-    conf = [g.ball2(v) & ~(1 << v) for v in range(n)]
-    best_mask = _greedy_two_packing(g)
+    conf = g.partners
+    best_mask = 0
+    for v in range(n):
+        if not conf[v] & best_mask:
+            best_mask |= 1 << v
     best_size = best_mask.bit_count()
 
     def search(candidates: int, chosen: int, size: int) -> None:
@@ -431,4 +414,4 @@ def solve_bnb(g: Graph, kind: str, *, transitive: bool = False) -> InvariantResu
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")
-    return InvariantResult(kind, mask.bit_count(), VertexSet(g.n, mask), "branch_and_bound")
+    return InvariantResult(kind, mask.bit_count(), VertexSet(g.n, mask))

@@ -31,6 +31,20 @@ def test_solve_invalid_cycle_usage(capsys):
     assert "cycle" in err
 
 
+def test_solve_random_without_p_is_usage(capsys):
+    code, _, err = run(capsys, "solve", "--family", "random", "--n", "5", "--kind", "gamma")
+    assert code == 2
+    assert "0 <= p <= 1" in err
+
+
+def test_solve_undecodable_graph6_file_is_usage(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"x\xff\n")
+    code, _, err = run(capsys, "solve", "--graph6-file", str(path), "--kind", "gamma")
+    assert code == 2
+    assert "decode" in err
+
+
 def test_solve_isolate_precondition(capsys):
     # "A?" is the 2-vertex edgeless graph
     code, _, err = run(capsys, "solve", "--graph6", "A?", "--kind", "gamma_t2")
@@ -72,6 +86,13 @@ def test_product_rejects_range_token(capsys):
     code, _, err = run(capsys, "product", "--left", "paths:2-3", "--right", "path:2")
     assert code == 2
     assert "exactly one" in err
+
+
+def test_product_over_size_cap_is_usage(capsys):
+    code, out, err = run(capsys, "product", "--left", "path:65", "--right", "path:64")
+    assert code == 2
+    assert "exceeds size cap 4096" in err
+    assert out == ""
 
 
 def test_scan_writes_artifacts(capsys, tmp_path):
@@ -150,6 +171,29 @@ def test_scan_json_random_entry_needs_p_and_seed(capsys, tmp_path, key):
     assert code == 2
     assert f"needs {key!r}" in err
     assert not out_path.exists()
+
+
+def test_scan_json_random_entry_with_bad_p_is_usage(capsys, tmp_path):
+    entry = {"family": "random", "n": 5, "p": 2, "seed": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"left": [entry], "right": [{"family": "path", "n": 2}]}))
+    out_path = tmp_path / "rand.jsonl"
+    code, _, err = run(capsys, "scan", "--spec-json", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert "0 <= p <= 1" in err
+    assert not out_path.exists()
+
+
+def test_scan_internal_value_error_is_not_usage(capsys, tmp_path, monkeypatch):
+    # a fault inside the replay is an internal error (exit 1 with a
+    # traceback), not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("semitotal.harness.project_profiles", broken)
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "i.jsonl"), "--workers", "1"]
+    with pytest.raises(ValueError, match="internal fault"):
+        main(argv)
 
 
 @pytest.mark.parametrize(
@@ -241,6 +285,26 @@ def test_report_renders(capsys, tmp_path):
     assert code == 0
     assert "min ratio" in out
     assert "replay failures" in out
+
+
+def test_report_rejects_non_scan_csv(capsys, tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n1,2\n")
+    code, out, err = run(capsys, "report", "--csv", str(path))
+    assert code == 2
+    assert "not a scan summary CSV" in err
+    assert out == ""
+
+
+def test_report_rejects_truncated_scan_csv(capsys, tmp_path):
+    out_path = tmp_path / "t.jsonl"
+    run(capsys, "scan", "--spec", "path:2 x path:2", "--out", str(out_path), "--workers", "1")
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(csv_path.read_text() + "path:3 x path:3,3\n")
+    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    assert code == 2
+    assert "not a scan summary CSV" in err
+    assert out == ""
 
 
 def test_report_missing_file(capsys, tmp_path):

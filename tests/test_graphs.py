@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,9 @@ from semitotal import (
     INF,
     VertexSet,
     cartesian_product,
-    closed_neighborhood,
+    connected_graphs,
     from_edge_list,
     generate,
-    open_neighborhood,
 )
 from semitotal.graphs import PRODUCT_SIZE_CAP
 
@@ -107,14 +107,69 @@ def test_isolate_detection():
 def test_closed_neighborhood_c4():
     g = generate("cycle", 4)
     s = VertexSet.from_vertices(4, [0])
-    assert closed_neighborhood(g, s).vertices() == (0, 1, 3)
+    assert VertexSet(4, s.mask | g.neighborhood(s.mask)).vertices() == (0, 1, 3)
+    assert VertexSet(4, g.neighborhood(s.mask)).vertices() == (1, 3)
 
 
 def test_neighborhood_of_empty_set():
     g = generate("cycle", 4)
-    empty = VertexSet(4)
-    assert closed_neighborhood(g, empty).vertices() == ()
-    assert open_neighborhood(g, empty).vertices() == ()
+    assert g.neighborhood(0) == 0
+    assert 0 | g.neighborhood(0) == 0
+
+
+def _check_masks_against_bfs(g, masks):
+    """neighborhood, partners and ball2 against distances from Graph.dist."""
+    dist = [[g.dist(u, v) for v in range(g.n)] for u in range(g.n)]
+    for v in range(g.n):
+        within2 = sum(1 << u for u in range(g.n) if u != v and dist[v][u] <= 2)
+        assert g.partners[v] == within2
+        assert g.ball2(v) == within2 | 1 << v
+    for mask in masks:
+        members = [w for w in range(g.n) if mask >> w & 1]
+        expected = sum(1 << u for u in range(g.n) if any(dist[w][u] == 1 for w in members))
+        assert g.neighborhood(mask) == expected
+
+
+def test_masks_match_bfs_on_connected_graphs():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            _check_masks_against_bfs(g, range(1 << n))
+
+
+def test_masks_match_bfs_on_random_isolate_free_graphs():
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(60):
+        g = generate("random", 7 + seed % 8, p=0.3, seed=seed)
+        if not g.is_isolate_free():
+            continue
+        _check_masks_against_bfs(g, [rng.getrandbits(g.n) for _ in range(40)])
+        checked += 1
+    assert checked >= 20
+
+
+def _check_layout_against_decode(prod, masks):
+    coords = [prod.decode(i) for i in range(prod.graph.n)]
+    for g_mask in range(1 << prod.n_g):
+        expected = sum(1 << i for i, (gi, _) in enumerate(coords) if g_mask >> gi & 1)
+        assert prod.rows(g_mask) == expected
+    for mask in masks:
+        members = [coords[i] for i in range(prod.graph.n) if mask >> i & 1]
+        assert prod.project_left(mask) == sum(1 << gi for gi in {gi for gi, _ in members})
+        assert prod.project_right(mask) == sum(1 << hi for hi in {hi for _, hi in members})
+
+
+@pytest.mark.parametrize("left,right", [(("path", 2), ("path", 3)), (("cycle", 3), ("path", 3))])
+def test_product_layout_on_every_mask(left, right):
+    prod = cartesian_product(generate(*left), generate(*right))
+    _check_layout_against_decode(prod, range(1 << prod.graph.n))
+
+
+def test_product_layout_on_random_masks():
+    prod = cartesian_product(generate("path", 7), generate("cycle", 7))
+    rng = random.Random(7)
+    masks = [rng.getrandbits(49) for _ in range(300)] + [0, (1 << 49) - 1]
+    _check_layout_against_decode(prod, masks)
 
 
 def test_path_end_to_end_distance():

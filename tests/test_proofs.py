@@ -254,8 +254,6 @@ def test_profiles_full_projection_has_no_missing():
 
 
 def test_profiles_partition_into_covered_uncovered():
-    from semitotal import closed_neighborhood
-
     g = generate("path", 3)
     h = generate("path", 3)
     prod, d, ap, pi, profiles, cover = replay_bundle(g, h)
@@ -263,7 +261,8 @@ def test_profiles_partition_into_covered_uncovered():
         assert (p.covered | p.uncovered) == p.projection
         assert not (p.covered & p.uncovered)
         # missing heights sit strictly outside the projection's closed reach
-        assert not (p.missing & closed_neighborhood(h, p.projection))
+        proj = p.projection.mask
+        assert not p.missing.mask & (proj | h.neighborhood(proj))
 
 
 def test_profiles_reject_invalid_set():
@@ -304,7 +303,8 @@ def test_cover_index_full_product_set():
     profiles = project_profiles(prod, d, pi)
     cover = build_cover_index(prod, d, pi, profiles)
     # with every product vertex chosen, every slab is horizontally dominated
-    assert len(cover.entries) == len(pi.cells) * prod.n_h
+    assert cover.indexed == ((1 << len(pi.cells)) - 1,) * prod.n_h
+    assert cover.total == len(pi.cells) * prod.n_h
 
 
 # Column bound and witness
@@ -313,22 +313,11 @@ def test_cover_index_full_product_set():
 def test_column_checks_p2_p2():
     g = generate("path", 2)
     prod, d, ap, pi, profiles, cover = replay_bundle(g, g)
-    report = check_column_bounds(prod, d, ap, pi, cover, len(d))
-    assert report.applicable and report.ok
+    report = check_column_bounds(prod, d, ap, pi, cover)
+    assert report.ok
     for check in report.columns:
         assert check.inequality_ok and check.witness_valid and check.witness_size_ok
         assert check.witness == vs(2, 0, 1)
-
-
-def test_column_checks_not_applicable_for_non_minimum():
-    g = generate("path", 2)
-    prod, d, ap, pi, profiles, cover = replay_bundle(g, g)
-    oversized = VertexSet.from_vertices(4, [0, 1, 2])
-    profiles2 = project_profiles(prod, oversized, pi)
-    cover2 = build_cover_index(prod, oversized, pi, profiles2)
-    report = check_column_bounds(prod, oversized, ap, pi, cover2, len(d))
-    assert not report.applicable
-    assert report.ok is None
 
 
 def test_column_witness_is_semitotal_across_families():
