@@ -4,13 +4,15 @@ Subcommands: solve, product, scan, verify-proof, report.  Exit codes are a
 stable contract: 0 success, 2 usage or parse error, 3 violated precondition
 (isolated vertex where an isolate-free graph is required), 4 a bound
 violation was found (monitorable as a distinct failure class).  Bad input is
-turned into a usage error where it enters (an undecodable input file
-included); any other exception is an internal error and exits 1 with a
-traceback.
+turned into a usage error where it enters, an undecodable input file and a
+named input or output file that cannot be read or written included; any
+other exception is an internal error and exits 1 with a traceback, an
+``OSError`` on stdout or from the worker pool too.
 """
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
@@ -37,6 +39,16 @@ class _UsageError(Exception):
     pass
 
 
+@contextmanager
+def _user_file():
+    """An ``OSError`` on a file the user named is a usage error; any other
+    ``OSError`` (a closed stdout, a worker pool that cannot start) is not."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _load_single_graph(args) -> Graph:
     sources = [
         args.family is not None,
@@ -54,7 +66,8 @@ def _load_single_graph(args) -> Graph:
             raise _UsageError(str(exc)) from None
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    text = Path(args.graph6_file).read_text()
+    with _user_file():
+        text = Path(args.graph6_file).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise _UsageError(f"{args.graph6_file}: expected exactly one graph6 line, found {len(lines)}")
@@ -107,8 +120,9 @@ def _cmd_scan(args) -> int:
     options = _make_options(args)
     spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
     summary = scan(spec, options)
-    write_jsonl(args.out, summary.records)
-    write_csv(args.csv or Path(args.out).with_suffix(".csv"), summary.records)
+    with _user_file():
+        write_jsonl(args.out, summary.records)
+        write_csv(args.csv or Path(args.out).with_suffix(".csv"), summary.records)
     print(summary.render())
     hunt = hunt_from_records(summary.records, (args.threshold_num, args.threshold_den))
     print(hunt.render())
@@ -147,7 +161,8 @@ def _cmd_verify_proof(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        table = render_csv_report(args.csv)
+        with _user_file():
+            table = render_csv_report(args.csv)
     except ValueError as exc:  # not a scan CSV, or a cell that is not a number
         raise _UsageError(str(exc)) from None
     print(table)
@@ -209,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except IsolateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (_UsageError, Graph6Error, FamilySpecError, OSError, UnicodeDecodeError) as exc:
+    except (_UsageError, Graph6Error, FamilySpecError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,10 +4,11 @@ Graphs live on vertices 0..n-1 with adjacency stored as one integer bitmask
 per vertex.  This module is the one place that computes masks: the open
 neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
-``ball2``) and the product's flat-index layout (``ProductGraph.rows``,
-``project_left``, ``project_right``, ``col_masks``).  ``dist`` runs one
-breadth-first search per call, and disconnected pairs carry the ``INF``
-sentinel.
+``ball2``), the product's flat-index layout (``ProductGraph.rows``,
+``project_left``, ``project_right``, ``col_masks``) and the automorphism
+orbits of a graph and of a product (``automorphism_orbits``,
+``product_orbits``).  ``dist`` runs one breadth-first search per call, and
+disconnected pairs carry the ``INF`` sentinel.
 """
 
 import math
@@ -302,6 +303,193 @@ class ProductGraph:
 
     def __repr__(self) -> str:
         return f"ProductGraph({self.n_g}x{self.n_h})"
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of the ordered partition ``cells`` (disjoint
+    masks), splitting by the cells in ``queue`` first.
+
+    A splitter W splits each cell by the number of neighbours its vertices
+    have in W, fragments in increasing count, in the cell's place; every
+    fragment becomes a splitter, and a pending splitter that splits is
+    replaced by its fragments.  Every step reads only the order of the cells
+    and adjacency counts, so relabelling the graph and the input by a
+    permutation relabels the output by it: an automorphism that maps one
+    input onto another maps the refined partitions onto each other cell by
+    cell.  ``queue`` must hold enough splitters: all cells, or the new
+    singleton when one vertex has just been split off an equitable cell.
+    """
+    cells = list(cells)
+    pending = set(queue)
+    queue = list(queue)
+    for w in queue:  # grows while it is read
+        if w not in pending:
+            continue  # split after it was queued; its fragments are queued
+        pending.discard(w)
+        reach = 0
+        for v in _bits(w):
+            reach |= adj[v]
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            hit = x & reach
+            if not hit or not x & (x - 1):
+                i += 1
+                continue
+            if not w & (w - 1):  # one splitter vertex: counts 0 and 1
+                frags = [x & ~reach, hit] if hit != x else [x]
+            else:
+                groups: dict[int, int] = {}
+                for v in _bits(x):
+                    k = (adj[v] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | 1 << v
+                frags = [groups[k] for k in sorted(groups)]
+            if len(frags) > 1:
+                pending.discard(x)
+                pending.update(frags)
+                queue.extend(frags)
+                cells[i : i + 1] = frags
+            i += len(frags)
+    return cells
+
+
+def _individualize(adj: tuple[int, ...], cells: list[int], i: int, v: int) -> list[int]:
+    """Split v off cell i of an equitable partition, then refine."""
+    single = 1 << v
+    return _refine(adj, cells[:i] + [single, cells[i] & ~single] + cells[i + 1 :], [single])
+
+
+def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
+    """True iff the bijection ``perm`` maps every adjacency row onto the
+    row of the image vertex."""
+    for v, row in enumerate(adj):
+        image = 0
+        for w in _bits(row):
+            image |= 1 << perm[w]
+        if adj[perm[v]] != image:
+            return False
+    return True
+
+
+def _find_automorphism(adj: tuple[int, ...], left: list[int], right: list[int]) -> list[int] | None:
+    """An automorphism that maps each cell of the equitable partition
+    ``left`` onto the same cell of ``right``, or None when there is none.
+
+    Individualise the least vertex x of the first non-singleton cell on the
+    left against each vertex y of that cell on the right, in turn.  An
+    automorphism mapping left onto right maps x to some such y, and then
+    maps the refined partitions onto each other, so the search is
+    exhaustive.  A discrete pair gives one permutation, kept only if it
+    preserves adjacency.
+    """
+    if [c.bit_count() for c in left] != [c.bit_count() for c in right]:
+        return None
+    i = next((k for k, c in enumerate(left) if c & (c - 1)), -1)
+    if i < 0:
+        perm = [0] * len(adj)
+        for a, b in zip(left, right):
+            perm[a.bit_length() - 1] = b.bit_length() - 1
+        return perm if _is_automorphism(adj, perm) else None
+    x = (left[i] & -left[i]).bit_length() - 1
+    fixed = _individualize(adj, left, i, x)
+    for y in _bits(right[i]):
+        perm = _find_automorphism(adj, fixed, _individualize(adj, right, i, y))
+        if perm is not None:
+            return perm
+    return None
+
+
+def automorphism_orbits(g: Graph) -> tuple[int, ...]:
+    """The orbits of Aut(g) as vertex masks, in order of least vertex.
+
+    Orbits are merged along permutations that preserve adjacency:
+
+    - the shift v -> v + 1 (mod n), tried first: it is one n-cycle, so
+      when it preserves adjacency, as on the cycles and complete graphs of
+      ``generate``, there is one orbit;
+    - the reversal v -> n - 1 - v, which settles the paths of ``generate``;
+    - one cycle through each class of twins (same open, or same closed,
+      neighbourhood), which swaps twins and nothing else;
+    - ``_find_automorphism``: vertices in different cells of the equitable
+      refinement of the unit partition lie in different orbits, and within
+      a cell each vertex not yet merged is tried against the first vertex
+      of every orbit found so far in the cell.
+
+    The shift and the reversal are checked to preserve adjacency by the
+    test that selects them; every other merging permutation is checked
+    again before it merges, with a raise.
+    """
+    n, adj = g.n, g.adj
+    if _is_automorphism(adj, [*range(1, n), 0]):
+        return ((1 << n) - 1,)
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def union(perm: list[int]) -> None:
+        for v, w in enumerate(perm):
+            parent[find(v)] = find(w)
+
+    def merge(perm: list[int]) -> None:
+        if not _is_automorphism(adj, perm):
+            raise AssertionError(f"orbit merge by a non-automorphism {perm}")
+        union(perm)
+
+    reversal = list(range(n - 1, -1, -1))
+    if _is_automorphism(adj, reversal):
+        union(reversal)
+    for rows in (adj, g.closed):
+        twins: dict[int, list[int]] = {}
+        for v, row in enumerate(rows):
+            twins.setdefault(row, []).append(v)
+        if len(twins) < n:
+            perm = list(range(n))
+            for members in twins.values():
+                for u, v in zip(members, members[1:] + members[:1]):
+                    perm[u] = v
+            merge(perm)
+    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
+    for i, cell in enumerate(cells):
+        heads: list[int] = []
+        for v in _bits(cell):
+            if any(find(r) == find(v) for r in heads):
+                continue
+            for r in heads:
+                perm = _find_automorphism(
+                    adj, _individualize(adj, cells, i, r), _individualize(adj, cells, i, v)
+                )
+                if perm is not None:
+                    merge(perm)
+                    break
+            else:
+                heads.append(v)
+    orbits: dict[int, int] = {}
+    for v in range(n):
+        orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
+    return tuple(orbits.values())
+
+
+def product_orbits(prod: "ProductGraph") -> tuple[int, ...]:
+    """Orbits on the product's flat indices of Aut(G) x Aut(H), with the
+    factor swap (a, b) -> (b, a) when G == H: cell (i, j) holds the vertices
+    whose coordinates lie in the i-th orbit of G and the j-th of H.  This
+    group is a subgroup of Aut(G x H) (Hammack, Imrich and Klavzar,
+    *Handbook of Product Graphs*, 2011), which is all ``solve_bnb``'s root
+    fixing asks of its ``orbits``."""
+    left = automorphism_orbits(prod.left)
+    same = prod.left == prod.right
+    right = left if same else automorphism_orbits(prod.right)
+    # col_masks[0] holds one bit per row, so the product copies an orbit of
+    # H into every row
+    cols = [orbit * prod.col_masks[0] for orbit in right]
+    cells = [[prod.rows(a) & col for col in cols] for a in left]
+    if same:  # the swap maps cell (i, j) onto (j, i)
+        k = len(left)
+        return tuple(cells[i][j] | cells[j][i] for i in range(k) for j in range(i, k))
+    return tuple(cell for row in cells for cell in row)
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:

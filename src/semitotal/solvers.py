@@ -15,10 +15,13 @@ disjoint-candidate bound.  The counting bound knows each invariant's cover
 rows: a gamma member covers at most max degree + 1 vertices, a gamma_t member
 at most max degree, and a gamma_t2 member at most max degree + 1/2 on
 average, because members come with partners within distance 2 whose closed
-neighbourhoods meet theirs.  On a vertex-transitive graph the caller may fix
-vertex 0 at the root (``transitive=True``), since an automorphism moves some
-minimum set onto one that contains it.  The packing number has its own
-search.
+neighbourhoods meet theirs.  Given the orbits of a group of automorphisms
+of the graph, ``solve_bnb`` branches at the root over orbits, not vertices
+(orbital fixing, after Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
+branching", Math. Program. 126, 2011, applied at the root only): an
+automorphism moves some minimum set into the branch of the first orbit it
+meets.  That keeps the value, not the witness, so the label-dependent modes
+never take orbits.  The packing number has its own search.
 """
 
 from dataclasses import dataclass
@@ -220,10 +223,14 @@ def _search_kernel(
     chosen0: int = 0,
     excluded0: int = 0,
     collect: list | None = None,
+    root: list[tuple[int, int]] | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
-    Searches the sets that contain ``chosen0`` and avoid ``excluded0``.  Two
+    Searches the sets that contain ``chosen0`` and avoid ``excluded0``.
+    ``root``, a list of (vertex, mask) pairs, replaces the root's branches:
+    branch i adds vertex i and avoids the masks of the branches before it
+    (``_orbit_root`` passes one pair per orbit).  Two
     modes: *optimise* (``incumbent`` given) returns a minimum set, or the
     incumbent when nothing smaller exists; *budgeted-feasible* returns the
     first set of at most ``budget`` vertices, or None.  With ``collect`` given,
@@ -313,7 +320,14 @@ def _search_kernel(
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    search(chosen0, covered0, excluded0, chosen0.bit_count())
+    size0 = chosen0.bit_count()
+    if root is None:
+        search(chosen0, covered0, excluded0, size0)
+    else:
+        for v, mask in root:
+            if search(chosen0 | 1 << v, covered0 | cover[v], excluded0, size0 + 1):
+                break
+            excluded0 |= mask
     return best
 
 
@@ -390,17 +404,63 @@ def _max_two_packing_bnb(g: Graph) -> int:
     return best_mask
 
 
-def solve_bnb(g: Graph, kind: str, *, transitive: bool = False) -> InvariantResult:
+def _orbit_root(g: Graph, tables: tuple, incumbent: int, orbits: tuple[int, ...]) -> int:
+    """Optimise from ``incumbent`` with the root's branches taken over ``orbits``.
+
+    u is the vertex whose cover row meets the fewest orbits (least index on
+    ties).  Every set in the search meets u's cover row, so it meets the
+    orbits O_1, O_2, ... that the row meets, each represented by its first
+    vertex r_i of the row in the kernel's candidate order.  Branch i
+    searches the sets that contain r_i and avoid O_1 ... O_{i-1}, and the
+    incumbent carries across branches.  An incumbent that meets the
+    counting bound on all n vertices is minimum, and no branch runs, as the
+    unrooted kernel prunes at its root.
+    """
+    n = g.n
+    union = 0
+    for orbit in orbits:
+        union |= orbit
+    if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
+        raise ValueError("orbits must be disjoint vertex masks that cover the graph")
+    cover, _, negdeg, (num, den) = tables
+    if incumbent.bit_count() <= (n * num + den - 1) // den:
+        return incumbent
+    orbit_of = [0] * n
+    meets = [0] * n  # meets[v]: the orbits that cover[v] meets
+    for k, orbit in enumerate(orbits):
+        reach = 0  # cover rows are symmetric, so reach holds each v whose row meets the orbit
+        for w in _bits(orbit):
+            orbit_of[w] = k
+            reach |= cover[w]
+        for v in _bits(reach):
+            meets[v] += 1
+    u = meets.index(min(meets))
+    root, excluded = [], 0
+    for r in sorted(_bits(cover[u]), key=negdeg.__getitem__):
+        orbit = orbits[orbit_of[r]]
+        if not orbit & excluded:  # r is its orbit's first vertex in the row
+            root.append((r, orbit))
+            excluded |= orbit
+    return _search_kernel(g, tables, incumbent=incumbent, root=root)
+
+
+def solve_bnb(g: Graph, kind: str, *, orbits: tuple[int, ...] | None = None) -> InvariantResult:
     """Fast exact solver; value always matches the oracle, witness validates.
 
-    ``transitive=True`` promises that g is vertex-transitive: the domination
-    kinds then search only the sets that contain vertex 0, which holds the
-    value, since an automorphism maps any minimum set onto one containing 0.
-    For gamma and gamma_t2 the witness is the unflagged one too: a
-    vertex-transitive graph is regular, so the unflagged search branches
-    first on vertex 0 joining the set, that branch is the flagged search,
-    and the later branches cannot beat a minimum set.  The flag is ignored
-    for rho.
+    ``orbits``, for the domination kinds, is a tuple of disjoint vertex
+    masks covering g that are the orbits of some group A of automorphisms
+    of g (``graphs.product_orbits`` gives them for a product).  The root
+    then branches over orbits (``_orbit_root``): a minimum set S meets the
+    cover row of the root vertex u, so it meets some orbit O_i of the row;
+    take the first such i and an automorphism in A that maps a vertex of
+    S in O_i onto r_i.  The image of S is minimum, contains r_i, and avoids
+    O_1 ... O_{i-1} because they are A-invariant, so branch i reaches a set
+    of the same size.  This keeps the value only: the witness may be
+    another minimum set than the one the unrooted search returns, and
+    label-dependent searches (lexleast probes, the enumeration) must not
+    take orbits.  Singleton orbits give the unrooted search's root branches
+    and witness.  Masks that do not partition the vertices raise
+    ``ValueError``.  Orbits are ignored for rho.
     """
     _check_kind(kind)
     if kind == "rho":
@@ -409,8 +469,11 @@ def solve_bnb(g: Graph, kind: str, *, transitive: bool = False) -> InvariantResu
     else:
         _check_isolate_free(g)
         tables = _kernel_tables(g, kind)
-        root = 1 if transitive else 0  # vertex 0 forced into the set
-        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables), chosen0=root)
+        incumbent = _greedy_domination(g, tables)
+        if orbits is None:
+            mask = _search_kernel(g, tables, incumbent=incumbent)
+        else:
+            mask = _orbit_root(g, tables, incumbent, orbits)
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")

@@ -196,6 +196,43 @@ def test_scan_internal_value_error_is_not_usage(capsys, tmp_path, monkeypatch):
         main(argv)
 
 
+def test_scan_missing_spec_json_is_usage(capsys, tmp_path):
+    out_path = tmp_path / "m.jsonl"
+    argv = ["scan", "--spec-json", str(tmp_path / "absent.json"), "--out", str(out_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "absent.json" in err
+    assert not out_path.exists()
+
+
+def test_solve_missing_graph6_file_is_usage(capsys, tmp_path):
+    argv = ["solve", "--graph6-file", str(tmp_path / "absent.g6"), "--kind", "gamma"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "absent.g6" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_scan_unwritable_output_is_usage(capsys, tmp_path, flag):
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "o.jsonl"), "--workers", "1"]
+    argv += [flag, str(tmp_path / "no-such-dir" / "o.out")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "no-such-dir" in err
+
+
+def test_scan_internal_os_error_is_not_usage(tmp_path, monkeypatch):
+    # an OSError that no named file raised (a closed stdout, a worker pool
+    # that cannot start) is an internal error, not a usage error
+    def broken(*args, **kwargs):
+        raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr("semitotal.cli.scan", broken)
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "b.jsonl")]
+    with pytest.raises(BrokenPipeError, match="stdout closed"):
+        main(argv)
+
+
 @pytest.mark.parametrize(
     "spec,message",
     [

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from semitotal import (
     INF,
     VertexSet,
+    automorphism_orbits,
     cartesian_product,
     connected_graphs,
     from_edge_list,
     generate,
+    product_orbits,
 )
 from semitotal.graphs import PRODUCT_SIZE_CAP
 
@@ -170,6 +173,99 @@ def test_product_layout_on_random_masks():
     rng = random.Random(7)
     masks = [rng.getrandbits(49) for _ in range(300)] + [0, (1 << 49) - 1]
     _check_layout_against_decode(prod, masks)
+
+
+def _automorphisms(g):
+    """Every automorphism of g, by brute force over all permutations."""
+    edges = list(g.edges())
+    return [p for p in permutations(range(g.n)) if all(g.adj[p[u]] >> p[v] & 1 for u, v in edges)]
+
+
+def _orbits_of(n, perms):
+    """Orbits on 0..n-1 of the group generated by perms, in least-vertex order."""
+    orbits, seen = [], 0
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        orbit, frontier = 1 << v, [v]
+        while frontier:
+            w = frontier.pop()
+            for p in perms:
+                if not orbit >> p[w] & 1:
+                    orbit |= 1 << p[w]
+                    frontier.append(p[w])
+        orbits.append(orbit)
+        seen |= orbit
+    return tuple(orbits)
+
+
+def test_automorphism_orbits_match_brute_force_on_connected_graphs():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            assert automorphism_orbits(g) == _orbits_of(n, _automorphisms(g)), g.adj
+
+
+def test_automorphism_orbits_match_brute_force_on_random_isolate_free_graphs():
+    checked = 0
+    for seed in range(30):
+        g = generate("random", 5 + seed % 4, p=(0.3, 0.5, 0.7)[seed % 3], seed=seed)
+        if not g.is_isolate_free():
+            continue
+        assert automorphism_orbits(g) == _orbits_of(g.n, _automorphisms(g)), g.adj
+        checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "family,n,count",
+    [("cycle", 24, 1), ("complete", 24, 1), ("path", 24, 12), ("star", 9, 2)],
+)
+def test_automorphism_orbits_of_large_families(family, n, count):
+    assert len(automorphism_orbits(generate(family, n))) == count
+
+
+def _frucht():
+    # 3-regular, so one cell of the equitable partition, yet only the
+    # identity preserves it
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + lcf[i]) % 12) for i in range(12)]
+    return from_edge_list(12, edges)
+
+
+def test_automorphism_orbits_of_a_rigid_cubic_graph():
+    assert automorphism_orbits(_frucht()) == tuple(1 << v for v in range(12))
+
+
+def test_automorphism_orbits_refuse_a_merge_that_breaks_adjacency(monkeypatch):
+    # a search that returned a permutation preserving no adjacency must not
+    # merge orbits, under python -O too
+    import semitotal.graphs
+
+    swap = [1, 0, *range(2, 12)]
+    monkeypatch.setattr(semitotal.graphs, "_find_automorphism", lambda adj, left, right: swap)
+    with pytest.raises(AssertionError, match="non-automorphism"):
+        automorphism_orbits(_frucht())
+
+
+def test_product_orbits_are_the_orbits_of_the_factor_groups():
+    # Aut(G) x Aut(H) acting coordinatewise, with the swap when G == H;
+    # every such permutation is an automorphism of the product
+    factors = [g for n in range(2, 5) for g in connected_graphs(n)]
+    for g in factors:
+        for h in factors:
+            prod = cartesian_product(g, h)
+            perms = [
+                [phi[a] * h.n + psi[b] for a in range(g.n) for b in range(h.n)]
+                for phi in _automorphisms(g)
+                for psi in _automorphisms(h)
+            ]
+            if g == h:
+                perms.append([b * h.n + a for a in range(g.n) for b in range(h.n)])
+            n, adj = prod.graph.n, prod.graph.adj
+            for p in perms:
+                for v in range(n):
+                    assert adj[p[v]] == sum(1 << p[w] for w in range(n) if adj[v] >> w & 1)
+            assert sorted(product_orbits(prod)) == sorted(_orbits_of(n, perms))
 
 
 def test_path_end_to_end_distance():

@@ -9,15 +9,18 @@ from semitotal import (
     InstanceRecord,
     IsolateError,
     ScanOptions,
+    automorphism_orbits,
+    cartesian_product,
     from_edge_list,
     generate,
     hunt_from_records,
     parse_graph6,
+    product_orbits,
     scan,
     summarize,
     verify_pair,
 )
-from semitotal.harness import HUNT_CLOSEST, REPLAY_CHECKS, _cycle_or_complete
+from semitotal.harness import HUNT_CLOSEST, REPLAY_CHECKS
 from semitotal.io import FamilySpec, comparison_form, parse_pair_spec, write_jsonl
 
 
@@ -90,25 +93,36 @@ def test_verify_pair_replays_beyond_oracle_limit():
     ],
 )
 def test_cycle_or_complete_factor_check(family, n, expected):
-    assert _cycle_or_complete(generate(family, n)) is expected
+    # the product orbits verify_pair roots the search with are one orbit,
+    # the old vertex-0 root, exactly for these vertex-transitive factors
+    g = generate(family, n)
+    assert (len(automorphism_orbits(g)) == 1) is expected
+    assert (len(product_orbits(cartesian_product(g, g))) == 1) is expected
 
 
 def test_factor_check_rejects_disconnected_two_regular():
     # C3 and C4 side by side: 2-regular but not vertex-transitive
     c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
-    assert not _cycle_or_complete(c3_c4)
+    assert automorphism_orbits(c3_c4) == (0b0000111, 0b1111000)
+    assert len(product_orbits(cartesian_product(c3_c4, generate("cycle", 3)))) == 2
 
 
-def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
+def test_verify_pair_passes_the_product_orbits(monkeypatch):
     import semitotal.harness
 
-    pairs = [(("cycle", 5), ("complete", 3)), (("cycle", 5), ("path", 3))]
+    pairs = [
+        (("cycle", 7), ("complete", 3)),
+        (("cycle", 7), ("path", 3)),
+        (("cycle", 5), ("path", 4)),
+    ]
     seen = []
     solve = semitotal.harness.solve_bnb
 
     def spy_solve(g, kind, **kw):
-        if g.n == 15:  # the product, not a factor
-            seen.append(kw.get("transitive", False))
+        if g.n > 7:  # the product, not a factor
+            seen.append(kw.get("orbits"))
+        else:
+            assert "orbits" not in kw
         return solve(g, kind, **kw)
 
     monkeypatch.setattr(semitotal.harness, "solve_bnb", spy_solve)
@@ -116,7 +130,11 @@ def test_verify_pair_fixes_the_root_only_for_transitive_products(monkeypatch):
         seen.clear()
         for left, right in pairs:
             verify_pair(generate(*left), generate(*right), options(replay=replay))
-        assert seen == [True, False], replay
+        # C7 x K3 is vertex-transitive; C7 x P3 has two orbits, the vertices
+        # over P3's ends and those over its middle; C5 x P4 has 20 vertices,
+        # below ORBIT_ROOT_MIN_ORDER
+        middle = sum(1 << (3 * g + 1) for g in range(7))
+        assert seen == [((1 << 21) - 1,), ((1 << 21) - 1 & ~middle, middle), None], replay
 
 
 @pytest.mark.parametrize("replay", [False, True])

@@ -13,6 +13,7 @@ from semitotal import (
     IsolateError,
     OracleLimitError,
     VertexSet,
+    cartesian_product,
     connected_graphs,
     enumerate_min_semitotal_sets,
     from_edge_list,
@@ -22,6 +23,8 @@ from semitotal import (
     is_total_dominating,
     is_two_packing,
     lexleast_min_semitotal_set,
+    parse_graph6,
+    product_orbits,
     solve_bnb,
     solve_oracle,
 )
@@ -292,8 +295,6 @@ PINNED_LEXLEAST = [
 
 @pytest.mark.parametrize("left,right,expected", PINNED_LEXLEAST)
 def test_lexleast_pinned_beyond_oracle(left, right, expected):
-    from semitotal import cartesian_product
-
     prod = cartesian_product(generate(*left), generate(*right)).graph
     d = lexleast_min_semitotal_set(prod)
     assert d.vertices() == expected
@@ -371,33 +372,65 @@ def test_kernel_budget_is_tight(g, data):
         assert probe(m - 1) is None, kind
 
 
-def _cycle_complete_products(max_order):
-    factors = [("cycle", n) for n in range(3, 15)] + [("complete", n) for n in range(2, 22)]
+def _family_products(max_order):
+    # K2 is P2 and K3 is C3, so the complete graphs start at K4
+    factors = [("path", n) for n in range(2, 22)]
+    factors += [("cycle", n) for n in range(3, 15)] + [("complete", n) for n in range(4, 22)]
     return [(a, b) for a in factors for b in factors if a[1] * b[1] <= max_order]
 
 
+def test_orbit_root_keeps_the_value():
+    # on every path, cycle and complete product of at most 42 vertices the
+    # rooted value is the unrooted one, and the oracle's up to 20 vertices,
+    # where singleton orbits also give the unrooted witness for every kind
+    values = {}
+    for left, right in _family_products(42):
+        prod = cartesian_product(generate(*left), generate(*right))
+        g = prod.graph
+        rooted = solve_bnb(g, "gamma_t2", orbits=product_orbits(prod))
+        key = frozenset((left, right))  # G x H and H x G are isomorphic
+        if key not in values:
+            values[key] = solve_bnb(g, "gamma_t2").value
+            if g.n <= 20:
+                assert solve_oracle(g, "gamma_t2").value == values[key], (left, right)
+        assert rooted.value == values[key], (left, right)
+        if g.n <= 20:
+            singletons = tuple(1 << v for v in range(g.n))
+            for kind in ("gamma", "gamma_t", "gamma_t2"):
+                plain = solve_bnb(g, kind)
+                assert solve_bnb(g, kind, orbits=singletons) == plain, (left, right, kind)
+                assert solve_bnb(g, kind, orbits=product_orbits(prod)).value == plain.value
+
+
 @pytest.mark.parametrize(
-    "pairs",
-    [_cycle_complete_products(42), [(("cycle", 7), ("cycle", 7))]],
-    ids=["up_to_42_vertices", "C7xC7"],
+    "left,right",
+    [("DLo", "EC\\o"), ("DLo", "E`HW"), ("DFw", "EImo")],
+    ids=["5x6-a", "5x6-b", "5x6-c"],
 )
-def test_transitive_root_keeps_results(pairs):
-    # the flag keeps solve_bnb's value and witness, and lexleast started from
-    # the flagged witness gives the set it builds from its own solve
-    from semitotal import cartesian_product
+def test_orbit_root_witness_gives_the_lexleast_set(left, right):
+    # products whose rooted witness is not the unrooted one (none of the
+    # path, cycle and complete products above is); lexleast started from
+    # either builds the same set
+    prod = cartesian_product(parse_graph6(left), parse_graph6(right))
+    rooted = solve_bnb(prod.graph, "gamma_t2", orbits=product_orbits(prod))
+    plain = solve_bnb(prod.graph, "gamma_t2")
+    assert rooted.value == plain.value
+    assert rooted.witness != plain.witness
+    assert lexleast_min_semitotal_set(prod.graph, minimum=rooted.witness) == (
+        lexleast_min_semitotal_set(prod.graph)
+    )
 
-    for left, right in pairs:
-        prod = cartesian_product(generate(*left), generate(*right)).graph
-        fixed = solve_bnb(prod, "gamma_t2", transitive=True)
-        assert fixed == solve_bnb(prod, "gamma_t2"), (left, right)
-        assert lexleast_min_semitotal_set(prod, minimum=fixed.witness) == (
-            lexleast_min_semitotal_set(prod)
-        ), (left, right)
+
+def test_orbit_root_rejects_orbits_that_do_not_partition():
+    g = generate("cycle", 4)
+    for orbits in [(0b0111,), (0b0111, 0b1100), (0b0011, 0b1100, 0b10000)]:
+        with pytest.raises(ValueError, match="orbits"):
+            solve_bnb(g, "gamma_t2", orbits=orbits)
 
 
-def _search_calls(fn, *args):
-    """Calls of the kernel's ``search`` closure during fn(*args), counted
-    with a profile hook."""
+def _search_calls(fn, *args, **kwargs):
+    """Calls of the kernel's ``search`` closure during fn(*args, **kwargs),
+    counted with a profile hook."""
     code = _search_kernel.__code__
     search = next(c for c in code.co_consts if getattr(c, "co_name", None) == "search")
     count = 0
@@ -409,7 +442,7 @@ def _search_calls(fn, *args):
 
     sys.setprofile(hook)
     try:
-        fn(*args)
+        fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
     return count
@@ -422,10 +455,24 @@ def _search_calls(fn, *args):
 def test_lexleast_search_node_ceiling(left, right, ceiling):
     # deterministic performance guard: node counts of the partner-aware
     # counting bound (the degree bound alone visits 9,786 and 15,495)
-    from semitotal import cartesian_product
-
     prod = cartesian_product(generate(*left), generate(*right)).graph
     assert _search_calls(lexleast_min_semitotal_set, prod) <= ceiling
+
+
+@pytest.mark.parametrize(
+    "left,right,ceiling",
+    [
+        (("path", 7), ("path", 7), 12_207),
+        (("path", 7), ("cycle", 7), 5_764),
+        (("cycle", 7), ("path", 7), 3_827),
+    ],
+)
+def test_product_solve_search_node_ceiling(left, right, ceiling):
+    # deterministic performance guard for the orbit root: the unrooted
+    # search visits 28,118, 13,194 and 13,433 nodes
+    prod = cartesian_product(generate(*left), generate(*right))
+    orbits = product_orbits(prod)
+    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", orbits=orbits) <= ceiling
 
 
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
@@ -470,8 +517,6 @@ small_factor = st.builds(
 @given(small_factor, small_factor)
 @settings(max_examples=40, deadline=None)
 def test_third_bound_holds_on_random_factor_pairs(g, h):
-    from semitotal import cartesian_product
-
     if not (g.is_isolate_free() and h.is_isolate_free()):
         return
     kg = solve_bnb(g, "gamma_t2").value
