@@ -5,15 +5,18 @@ per vertex.  This module is the one place that computes masks: the open
 neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
-``project_left``, ``project_right``, ``col_masks``) and the automorphism
-orbits of a graph and of a product (``automorphism_orbits``,
-``product_orbits``).  ``dist`` runs one breadth-first search per call, and
+``project_left``, ``project_right``, ``col_masks``), the automorphism
+orbits of a graph (``automorphism_orbits``) and the symmetry of a product
+that the product solve reads (``product_symmetry``: orbits and point
+stabilisers).  ``dist`` runs one breadth-first search per call, and
 disconnected pairs carry the ``INF`` sentinel.
 """
 
 import math
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from functools import partial
 
 INF = math.inf
 
@@ -364,8 +367,10 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
     row of the image vertex."""
     for v, row in enumerate(adj):
         image = 0
-        for w in _bits(row):
-            image |= 1 << perm[w]
+        while row:  # _bits(row) inlined: the orbits and stabilisers call this often
+            low = row & -row
+            image |= 1 << perm[low.bit_length() - 1]
+            row ^= low
         if adj[perm[v]] != image:
             return False
     return True
@@ -399,6 +404,39 @@ def _find_automorphism(adj: tuple[int, ...], left: list[int], right: list[int]) 
     return None
 
 
+def _shift_and_reversal(g: Graph) -> tuple[bool, bool]:
+    """Whether the shift v -> v + 1 (mod n) and the reversal v -> n - 1 - v
+    preserve g's adjacency.  A graph that the shift preserves is a
+    circulant, whose connection set is closed under negation, so v -> -v
+    and the reversal, the shift's inverse after it, preserve it too; the
+    reversal is tested only when the shift fails."""
+    identity = tuple(range(g.n))
+    shift = _is_automorphism(g.adj, identity[1:] + identity[:1])
+    return shift, shift or _is_automorphism(g.adj, identity[::-1])
+
+
+def _dihedral_maps(n: int, shift: bool, reversal: bool, a: int, b: int) -> list[tuple[int, ...]]:
+    """The elements that map a to b of the group generated by the shift
+    (when ``shift``) and the reversal (when ``reversal``) on 0..n-1, the
+    identity first when a == b.  With both, the group is dihedral: the
+    rotations v -> v + k and the reflections v -> s - v (mod n), one of
+    each mapping a to b (for n <= 2 the reflections are rotations).  The
+    reversal alone gives {identity, reversal}.  The group is all of
+    Aut(C_n) and Aut(P_n) for the cycles and paths of ``generate``, and a
+    subgroup of Aut(g) for any g whose flags these are."""
+    identity = tuple(range(n))
+    if shift:
+        k = (b - a) % n
+        maps = [identity[k:] + identity[:k]]
+        if reversal and n > 2:
+            maps.append(tuple([(a + b - v) % n for v in range(n)]))
+        return maps
+    maps = [identity] if a == b else []
+    if reversal and a + b == n - 1:
+        maps.append(identity[::-1])
+    return maps
+
+
 def automorphism_orbits(g: Graph) -> tuple[int, ...]:
     """The orbits of Aut(g) as vertex masks, in order of least vertex.
 
@@ -416,11 +454,17 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
       of every orbit found so far in the cell.
 
     The shift and the reversal are checked to preserve adjacency by the
-    test that selects them; every other merging permutation is checked
-    again before it merges, with a raise.
+    test that selects them (``_shift_and_reversal``); every other merging
+    permutation is checked again before it merges, with a raise.
     """
+    return _automorphism_orbits(g, *_shift_and_reversal(g))
+
+
+def _automorphism_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ...]:
+    """``automorphism_orbits`` given ``_shift_and_reversal(g)``, which
+    ``product_symmetry`` also keeps for its stabilisers."""
     n, adj = g.n, g.adj
-    if _is_automorphism(adj, [*range(1, n), 0]):
+    if shift:
         return ((1 << n) - 1,)
     parent = list(range(n))
 
@@ -438,9 +482,8 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
             raise AssertionError(f"orbit merge by a non-automorphism {perm}")
         union(perm)
 
-    reversal = list(range(n - 1, -1, -1))
-    if _is_automorphism(adj, reversal):
-        union(reversal)
+    if reversal:
+        union(list(range(n - 1, -1, -1)))
     for rows in (adj, g.closed):
         twins: dict[int, list[int]] = {}
         for v, row in enumerate(rows):
@@ -472,24 +515,80 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
     return tuple(orbits.values())
 
 
-def product_orbits(prod: "ProductGraph") -> tuple[int, ...]:
-    """Orbits on the product's flat indices of Aut(G) x Aut(H), with the
-    factor swap (a, b) -> (b, a) when G == H: cell (i, j) holds the vertices
-    whose coordinates lie in the i-th orbit of G and the j-th of H.  This
-    group is a subgroup of Aut(G x H) (Hammack, Imrich and Klavzar,
-    *Handbook of Product Graphs*, 2011), which is all ``solve_bnb``'s root
-    fixing asks of its ``orbits``."""
-    left = automorphism_orbits(prod.left)
-    same = prod.left == prod.right
-    right = left if same else automorphism_orbits(prod.right)
+@dataclass(frozen=True)
+class Symmetry:
+    """A group A of automorphisms of a graph, in the two forms the product
+    solve reads.  ``orbits`` holds A's orbits as disjoint vertex masks that
+    cover the graph.  ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]``
+    the image of v, every element other than the identity that fixes r of
+    one subgroup B of A: the stabiliser of r in B, a whole group but for
+    the identity it leaves out, so that its images of a vertex are that
+    vertex's orbit."""
+
+    orbits: tuple[int, ...]
+    stabiliser: Callable[[int], list[tuple[int, ...]]]
+
+
+def product_symmetry(prod: ProductGraph) -> Symmetry:
+    """The symmetry of G x H that ``solve_bnb`` reads for a product.
+
+    Orbits: those of Aut(G) x Aut(H) on the flat indices, with the factor
+    swap (a, b) -> (b, a) when G == H; cell (i, j) holds the vertices whose
+    coordinates lie in the i-th orbit of G and the j-th of H.  Stabilisers:
+    in the subgroup that each factor's shift and reversal generate, where
+    they preserve adjacency (``_dihedral_maps``: rotations and reflections,
+    at most 2n elements), with the swap when G == H.  Both are subgroups
+    of Aut(G x H) (Hammack, Imrich and Klavzar, *Handbook of Product
+    Graphs*, 2011): (phi, psi) preserves the product's adjacency exactly
+    when phi preserves G's and psi H's.  So each factor permutation that
+    enters a stabiliser is checked against its factor's adjacency, once,
+    with a raise; that costs the factor's edges, not the product's.  The
+    orbits take the shift and reversal tests they always made; each
+    stabiliser is built by its own call from the few factor permutations
+    that fix or swap its coordinates, so a solve pays only for the root
+    branches it searches.
+    """
+    g, h = prod.left, prod.right
+    same = g == h
+    flags_g = _shift_and_reversal(g)
+    flags_h = flags_g if same else _shift_and_reversal(h)
+    left = _automorphism_orbits(g, *flags_g)
+    right = left if same else _automorphism_orbits(h, *flags_h)
     # col_masks[0] holds one bit per row, so the product copies an orbit of
     # H into every row
     cols = [orbit * prod.col_masks[0] for orbit in right]
     cells = [[prod.rows(a) & col for col in cols] for a in left]
     if same:  # the swap maps cell (i, j) onto (j, i)
         k = len(left)
-        return tuple(cells[i][j] | cells[j][i] for i in range(k) for j in range(i, k))
-    return tuple(cell for row in cells for cell in row)
+        orbits = tuple(cells[i][j] | cells[j][i] for i in range(k) for j in range(i, k))
+    else:
+        orbits = tuple(cell for row in cells for cell in row)
+    n_h = prod.n_h
+    maps_g = partial(_dihedral_maps, g.n, *flags_g)
+    maps_h = partial(_dihedral_maps, h.n, *flags_h)
+    checked = {(tuple(range(g.n)), 0), (tuple(range(h.n)), 1)}  # (permutation, factor)
+
+    def check(perm: tuple[int, ...], side: int) -> None:
+        if (perm, side) not in checked:
+            factor = (g, h)[side]
+            if sorted(perm) != list(range(factor.n)) or not _is_automorphism(factor.adj, perm):
+                raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
+            checked.add((perm, side))
+
+    def stabiliser(r: int) -> list[tuple[int, ...]]:
+        a, b = prod.decode(r)
+        # (phi, psi) maps (x, y) to (phi[x], psi[y]); the maps of a to a
+        # list the identity first, so the first pair is the identity
+        fixing = [(phi, psi) for phi in maps_g(a, a) for psi in maps_h(b, b)][1:]
+        # the swap after (phi, psi) maps (x, y) to (psi[y], phi[x])
+        swapping = [(phi, psi) for phi in maps_g(a, b) for psi in maps_h(b, a)] if same else []
+        for phi, psi in fixing + swapping:
+            check(phi, 0)
+            check(psi, 1)
+        perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing]
+        return perms + [tuple([y * n_h + x for x in phi for y in psi]) for phi, psi in swapping]
+
+    return Symmetry(orbits, stabiliser)
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:

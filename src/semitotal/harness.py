@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil
 
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import Graph, VertexSet, cartesian_product, product_orbits
+from .graphs import Graph, VertexSet, cartesian_product, product_symmetry
 from .proofs import (
     FalsificationError,
     build_cell_partition,
@@ -36,8 +36,9 @@ from .solvers import (
 
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
-# Smaller products are solved without orbits: on up to 20 vertices the
-# plain search costs about what computing the orbits does.
+# Products of this order or more are solved with their symmetry: orbits at
+# the root and stabiliser orbits below it.  Smaller ones are solved without:
+# on up to 20 vertices the plain search costs about what the orbits do.
 ORBIT_ROOT_MIN_ORDER = 21
 
 HUNT_CLOSEST = 10
@@ -215,8 +216,8 @@ def verify_pair(
 
     t = clock()
     prod = cartesian_product(g, h)
-    orbits = product_orbits(prod) if prod.graph.n >= ORBIT_ROOT_MIN_ORDER else None
-    minimum = solve_bnb(prod.graph, "gamma_t2", orbits=orbits).witness
+    symmetry = product_symmetry(prod) if prod.graph.n >= ORBIT_ROOT_MIN_ORDER else None
+    minimum = solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry).witness
     record.gamma_t2_prod = len(minimum)
     record.bound_thm1 = record.rho_g * record.gamma_t2_h
     record.bound_thm2 = ceil(record.gamma_t2_g * record.gamma_t2_h / 3)

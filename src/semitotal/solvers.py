@@ -15,19 +15,23 @@ disjoint-candidate bound.  The counting bound knows each invariant's cover
 rows: a gamma member covers at most max degree + 1 vertices, a gamma_t member
 at most max degree, and a gamma_t2 member at most max degree + 1/2 on
 average, because members come with partners within distance 2 whose closed
-neighbourhoods meet theirs.  Given the orbits of a group of automorphisms
-of the graph, ``solve_bnb`` branches at the root over orbits, not vertices
-(orbital fixing, after Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
-branching", Math. Program. 126, 2011, applied at the root only): an
-automorphism moves some minimum set into the branch of the first orbit it
-meets.  That keeps the value, not the witness, so the label-dependent modes
-never take orbits.  The packing number has its own search.
+neighbourhoods meet theirs.  Given a group of automorphisms of the graph
+(``graphs.Symmetry``), ``solve_bnb`` branches over orbits, not vertices
+(orbital branching, after Ostrowski, Linderoth, Rossi and Smriglio,
+"Orbital branching", Math. Program. 126, 2011): at the root over the
+group's orbits, and below each root branch over the orbits of the
+stabiliser of the vertices chosen so far.  An automorphism moves some
+minimum set into the branch of the first orbit it meets.  That keeps the
+value, not the witness, so the label-dependent modes never take a
+symmetry.  The packing number has its own search.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
-from .graphs import Graph, VertexSet, _bits
+from .graphs import Graph, Symmetry, VertexSet, _bits
 
 KINDS = ("gamma", "gamma_t", "gamma_t2", "rho")
 
@@ -224,13 +228,16 @@ def _search_kernel(
     excluded0: int = 0,
     collect: list | None = None,
     root: list[tuple[int, int]] | None = None,
+    stabiliser: Callable[[int], list] | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
     Searches the sets that contain ``chosen0`` and avoid ``excluded0``.
     ``root``, a list of (vertex, mask) pairs, replaces the root's branches:
     branch i adds vertex i and avoids the masks of the branches before it
-    (``_orbit_root`` passes one pair per orbit).  Two
+    (``_orbit_root`` passes one pair per orbit).  ``stabiliser(v)`` gives
+    the stabiliser that root branch v carries (see below), called only when
+    that branch's node gets past its bounds and branches.  Two
     modes: *optimise* (``incumbent`` given) returns a minimum set, or the
     incumbent when nothing smaller exists; *budgeted-feasible* returns the
     first set of at most ``budget`` vertices, or None.  With ``collect`` given,
@@ -259,6 +266,26 @@ def _search_kernel(
     The bounds only prune and never reorder the search, so the incumbent
     sequence, the first feasible leaf and the collected sets do not depend
     on how strong they are.
+
+    Orbital branching below the root.  A node may carry a stabiliser K:
+    the elements other than the identity of a group of automorphisms that
+    fix every chosen vertex.  With K empty the node runs the plain loop.
+    Otherwise it branches over K's orbits on its candidates, in candidate
+    order: the child for v carries the elements of K that fix v, and after
+    it v's orbit, v and each p[v], joins the excluded set, so that a later
+    candidate in it is skipped.  This keeps the value by ``_orbit_root``'s
+    argument one level down.  The node's excluded set X is K-invariant: it
+    is a union of root orbits, which every element maps onto themselves
+    (``_orbit_root`` checks it), and of orbits of ancestors' stabilisers,
+    which contain K.  K fixes the chosen set C and so the covered set.  A
+    minimum set S of the node's region (S contains C and avoids X) meets
+    the candidates, so it meets some of their orbits; let O_j be the first
+    in branch order, v_j its candidate, w a vertex of S in O_j and k in K
+    with k(w) = v_j.  Then k(S) is a set of S's kind and size that
+    contains C and v_j and avoids X and O_1 ... O_{j-1}, which are
+    K-invariant, so child j's region holds it.  Optimise mode therefore
+    keeps the minimum value; the lexleast probes and the enumeration read
+    labels and never take a stabiliser.
     """
     n = g.n
     full = (1 << n) - 1
@@ -267,7 +294,7 @@ def _search_kernel(
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
 
-    def search(chosen: int, covered: int, excluded: int, size: int) -> bool:
+    def search(chosen: int, covered: int, excluded: int, size: int, stab) -> bool:
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
@@ -309,8 +336,23 @@ def _search_kernel(
         if size + bound >= best_size:
             return False
         ex = excluded
+        if stab and callable(stab):
+            stab = stab()  # a root branch's stabiliser, built once its node branches
+        if stab:  # one child per orbit of stab on the candidates
+            for v in sorted(_bits(avail), key=negdeg.__getitem__):
+                if ex >> v & 1:
+                    continue  # in the orbit of an earlier candidate
+                fix = [p for p in stab if p[v] == v]
+                if search(chosen | 1 << v, covered | cover[v], ex, size + 1, fix):
+                    return True
+                ex |= 1 << v
+                for p in stab:
+                    ex |= 1 << p[v]
+                if size + bound >= best_size:
+                    return False
+            return False
         for v in sorted(_bits(avail), key=negdeg.__getitem__):
-            if search(chosen | 1 << v, covered | cover[v], ex, size + 1):
+            if search(chosen | 1 << v, covered | cover[v], ex, size + 1, stab):
                 return True
             ex |= 1 << v
             if size + bound >= best_size:
@@ -322,10 +364,11 @@ def _search_kernel(
         covered0 |= cover[v]
     size0 = chosen0.bit_count()
     if root is None:
-        search(chosen0, covered0, excluded0, size0)
+        search(chosen0, covered0, excluded0, size0, [])
     else:
         for v, mask in root:
-            if search(chosen0 | 1 << v, covered0 | cover[v], excluded0, size0 + 1):
+            stab = partial(stabiliser, v)
+            if search(chosen0 | 1 << v, covered0 | cover[v], excluded0, size0 + 1, stab):
                 break
             excluded0 |= mask
     return best
@@ -404,8 +447,9 @@ def _max_two_packing_bnb(g: Graph) -> int:
     return best_mask
 
 
-def _orbit_root(g: Graph, tables: tuple, incumbent: int, orbits: tuple[int, ...]) -> int:
-    """Optimise from ``incumbent`` with the root's branches taken over ``orbits``.
+def _orbit_root(g: Graph, tables: tuple, incumbent: int, symmetry: Symmetry) -> int:
+    """Optimise from ``incumbent`` with the root's branches taken over the
+    symmetry's orbits and each branch's node carrying its stabiliser.
 
     u is the vertex whose cover row meets the fewest orbits (least index on
     ties).  Every set in the search meets u's cover row, so it meets the
@@ -414,9 +458,16 @@ def _orbit_root(g: Graph, tables: tuple, incumbent: int, orbits: tuple[int, ...]
     searches the sets that contain r_i and avoid O_1 ... O_{i-1}, and the
     incumbent carries across branches.  An incumbent that meets the
     counting bound on all n vertices is minimum, and no branch runs, as the
-    unrooted kernel prunes at its root.
+    unrooted kernel prunes at its root.  The stabiliser of r_i is asked for
+    only when branch i's node branches.  Each of its permutations must fix r_i
+    and map every orbit onto itself, which keeps O_1 ... O_{i-1} invariant
+    as ``_search_kernel`` needs, or this raises; that they preserve
+    adjacency is checked where they are built (``graphs.product_symmetry``
+    checks their factor permutations), at the factors' cost, not the
+    product's.
     """
     n = g.n
+    orbits = symmetry.orbits
     union = 0
     for orbit in orbits:
         union |= orbit
@@ -441,26 +492,43 @@ def _orbit_root(g: Graph, tables: tuple, incumbent: int, orbits: tuple[int, ...]
         if not orbit & excluded:  # r is its orbit's first vertex in the row
             root.append((r, orbit))
             excluded |= orbit
-    return _search_kernel(g, tables, incumbent=incumbent, root=root)
+
+    def stabiliser(r: int) -> list:
+        perms = symmetry.stabiliser(r)
+        for p in perms:
+            if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
+                raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
+        return perms
+
+    return _search_kernel(g, tables, incumbent=incumbent, root=root, stabiliser=stabiliser)
 
 
-def solve_bnb(g: Graph, kind: str, *, orbits: tuple[int, ...] | None = None) -> InvariantResult:
+def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> InvariantResult:
     """Fast exact solver; value always matches the oracle, witness validates.
 
-    ``orbits``, for the domination kinds, is a tuple of disjoint vertex
-    masks covering g that are the orbits of some group A of automorphisms
-    of g (``graphs.product_orbits`` gives them for a product).  The root
-    then branches over orbits (``_orbit_root``): a minimum set S meets the
-    cover row of the root vertex u, so it meets some orbit O_i of the row;
-    take the first such i and an automorphism in A that maps a vertex of
-    S in O_i onto r_i.  The image of S is minimum, contains r_i, and avoids
-    O_1 ... O_{i-1} because they are A-invariant, so branch i reaches a set
-    of the same size.  This keeps the value only: the witness may be
-    another minimum set than the one the unrooted search returns, and
+    ``symmetry``, for the domination kinds, describes a group A of
+    automorphisms of g: its orbits, disjoint vertex masks covering g, and
+    the point stabilisers of a subgroup B of A (``graphs.product_symmetry``
+    builds one for a product).  The root then branches over orbits
+    (``_orbit_root``): a minimum set S meets the cover row of the root
+    vertex u, so it meets some orbit O_i of the row; take the first such i
+    and an automorphism in A that maps a vertex of S in O_i onto r_i.  The
+    image of S is minimum, contains r_i, and avoids O_1 ... O_{i-1} because
+    they are A-invariant, so branch i reaches a set of the same size.
+    Below branch i the same argument runs one level down
+    (``_search_kernel``): the stabiliser of r_i in B fixes the chosen set
+    and leaves the excluded set invariant, so it maps any minimum set of a
+    node's region onto one inside the branch of the first of its orbits
+    that set meets, and each child carries the elements that also fix its
+    own vertex.  This keeps the value only: the witness may be another
+    minimum set than the one the unrooted search returns, and
     label-dependent searches (lexleast probes, the enumeration) must not
-    take orbits.  Singleton orbits give the unrooted search's root branches
-    and witness.  Masks that do not partition the vertices raise
-    ``ValueError``.  Orbits are ignored for rho.
+    take a symmetry.  Singleton orbits and empty stabilisers give the
+    unrooted search's branches and witness.  Orbits that do not partition
+    the vertices raise ``ValueError``; a stabiliser element that moves its
+    point or an orbit raises ``AssertionError``, as does, in
+    ``product_symmetry``, one built from a permutation that is not a
+    factor automorphism.  The symmetry is ignored for rho.
     """
     _check_kind(kind)
     if kind == "rho":
@@ -470,10 +538,10 @@ def solve_bnb(g: Graph, kind: str, *, orbits: tuple[int, ...] | None = None) -> 
         _check_isolate_free(g)
         tables = _kernel_tables(g, kind)
         incumbent = _greedy_domination(g, tables)
-        if orbits is None:
+        if symmetry is None:
             mask = _search_kernel(g, tables, incumbent=incumbent)
         else:
-            mask = _orbit_root(g, tables, incumbent, orbits)
+            mask = _orbit_root(g, tables, incumbent, symmetry)
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")

@@ -14,7 +14,7 @@ from semitotal import (
     connected_graphs,
     from_edge_list,
     generate,
-    product_orbits,
+    product_symmetry,
 )
 from semitotal.graphs import PRODUCT_SIZE_CAP
 
@@ -265,7 +265,65 @@ def test_product_orbits_are_the_orbits_of_the_factor_groups():
             for p in perms:
                 for v in range(n):
                     assert adj[p[v]] == sum(1 << p[w] for w in range(n) if adj[v] >> w & 1)
-            assert sorted(product_orbits(prod)) == sorted(_orbits_of(n, perms))
+            assert sorted(product_symmetry(prod).orbits) == sorted(_orbits_of(n, perms))
+
+
+def _generated(n, generators):
+    """Every element of the permutation group on 0..n-1 that generators
+    generate, by closing the identity under composition."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for s in generators:
+            q = tuple(s[w] for w in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _rotation_reflection_group(g):
+    shift, reversal = [*range(1, g.n), 0], list(range(g.n - 1, -1, -1))
+    edges = list(g.edges())
+    kept = [p for p in (shift, reversal) if all(g.adj[p[u]] >> p[v] & 1 for u, v in edges)]
+    return _generated(g.n, kept)
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (("cycle", 5), ("path", 4)),
+        (("path", 4), ("path", 4)),
+        (("cycle", 4), ("cycle", 4)),
+        (("complete", 4), ("path", 3)),
+        (("star", 4), ("cycle", 3)),
+        (("path", 2), ("path", 2)),
+    ],
+)
+def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, right):
+    # the subgroup generated by the factors' shift and reversal, each where
+    # it preserves adjacency, acting coordinatewise, with the swap when
+    # G == H; product_symmetry lists its stabiliser of each vertex, the
+    # identity left out, and every element is an automorphism
+    g, h = generate(*left), generate(*right)
+    prod = cartesian_product(g, h)
+    n, adj = prod.graph.n, prod.graph.adj
+    group = {
+        tuple(phi[a] * h.n + psi[b] for a in range(g.n) for b in range(h.n))
+        for phi in _rotation_reflection_group(g)
+        for psi in _rotation_reflection_group(h)
+    }
+    if g == h:
+        group |= {tuple(p[b * h.n + a] for a in range(g.n) for b in range(h.n)) for p in group}
+    identity = tuple(range(n))
+    symmetry = product_symmetry(prod)
+    for r in range(n):
+        stabiliser = symmetry.stabiliser(r)
+        assert len(set(stabiliser)) == len(stabiliser)
+        assert set(stabiliser) == {p for p in group if p[r] == r} - {identity}, r
+        for p in stabiliser:
+            for w in range(n):
+                assert adj[p[w]] == sum(1 << p[x] for x in range(n) if adj[w] >> x & 1)
 
 
 def test_path_end_to_end_distance():

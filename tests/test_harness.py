@@ -15,7 +15,7 @@ from semitotal import (
     generate,
     hunt_from_records,
     parse_graph6,
-    product_orbits,
+    product_symmetry,
     scan,
     summarize,
     verify_pair,
@@ -97,14 +97,14 @@ def test_cycle_or_complete_factor_check(family, n, expected):
     # the old vertex-0 root, exactly for these vertex-transitive factors
     g = generate(family, n)
     assert (len(automorphism_orbits(g)) == 1) is expected
-    assert (len(product_orbits(cartesian_product(g, g))) == 1) is expected
+    assert (len(product_symmetry(cartesian_product(g, g)).orbits) == 1) is expected
 
 
 def test_factor_check_rejects_disconnected_two_regular():
     # C3 and C4 side by side: 2-regular but not vertex-transitive
     c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
     assert automorphism_orbits(c3_c4) == (0b0000111, 0b1111000)
-    assert len(product_orbits(cartesian_product(c3_c4, generate("cycle", 3)))) == 2
+    assert len(product_symmetry(cartesian_product(c3_c4, generate("cycle", 3))).orbits) == 2
 
 
 def test_verify_pair_passes_the_product_orbits(monkeypatch):
@@ -120,9 +120,10 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
 
     def spy_solve(g, kind, **kw):
         if g.n > 7:  # the product, not a factor
-            seen.append(kw.get("orbits"))
+            symmetry = kw.get("symmetry")
+            seen.append(symmetry and symmetry.orbits)
         else:
-            assert "orbits" not in kw
+            assert "symmetry" not in kw
         return solve(g, kind, **kw)
 
     monkeypatch.setattr(semitotal.harness, "solve_bnb", spy_solve)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -24,10 +25,11 @@ from semitotal import (
     is_two_packing,
     lexleast_min_semitotal_set,
     parse_graph6,
-    product_orbits,
+    product_symmetry,
     solve_bnb,
     solve_oracle,
 )
+from semitotal.graphs import Symmetry
 from semitotal.solvers import _PREDICATES as MASK_PREDICATES
 from semitotal.solvers import _kernel_tables, _search_kernel
 
@@ -379,15 +381,20 @@ def _family_products(max_order):
     return [(a, b) for a in factors for b in factors if a[1] * b[1] <= max_order]
 
 
+def _trivial_symmetry(n):
+    return Symmetry(tuple(1 << v for v in range(n)), lambda r: [])
+
+
 def test_orbit_root_keeps_the_value():
     # on every path, cycle and complete product of at most 42 vertices the
-    # rooted value is the unrooted one, and the oracle's up to 20 vertices,
-    # where singleton orbits also give the unrooted witness for every kind
+    # value with the product symmetry (root orbits and stabilisers below)
+    # is the unrooted one, and the oracle's up to 20 vertices, where the
+    # trivial symmetry also gives the unrooted witness for every kind
     values = {}
     for left, right in _family_products(42):
         prod = cartesian_product(generate(*left), generate(*right))
         g = prod.graph
-        rooted = solve_bnb(g, "gamma_t2", orbits=product_orbits(prod))
+        rooted = solve_bnb(g, "gamma_t2", symmetry=product_symmetry(prod))
         key = frozenset((left, right))  # G x H and H x G are isomorphic
         if key not in values:
             values[key] = solve_bnb(g, "gamma_t2").value
@@ -395,11 +402,89 @@ def test_orbit_root_keeps_the_value():
                 assert solve_oracle(g, "gamma_t2").value == values[key], (left, right)
         assert rooted.value == values[key], (left, right)
         if g.n <= 20:
-            singletons = tuple(1 << v for v in range(g.n))
             for kind in ("gamma", "gamma_t", "gamma_t2"):
                 plain = solve_bnb(g, kind)
-                assert solve_bnb(g, kind, orbits=singletons) == plain, (left, right, kind)
-                assert solve_bnb(g, kind, orbits=product_orbits(prod)).value == plain.value
+                trivial = solve_bnb(g, kind, symmetry=_trivial_symmetry(g.n))
+                assert trivial == plain, (left, right, kind)
+                assert solve_bnb(g, kind, symmetry=product_symmetry(prod)).value == plain.value
+
+
+def _mirrored_random(n, seed):
+    """A random graph closed under the reversal v -> n - 1 - v, which fixes
+    the middle vertex when n is odd."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    edges += [(n - 1 - i, n - 1 - j) for i, j in edges]
+    return from_edge_list(n, edges)
+
+
+def test_stabiliser_branching_keeps_the_value_off_the_transitive_families():
+    # random G x P3 and G x C3, and G x G and G x P3 with G closed under
+    # the reversal, on 21 to 36 vertices: no factor but C3 is
+    # vertex-transitive, yet the nodes below the root carry stabilisers
+    # (P3's reversal fixes its middle, C3's reflections fix a vertex each,
+    # the swap fixes the diagonal); every kind's value is the unrooted one
+    products = []
+    for seed in range(40):
+        g = generate("random", 7 + seed % 6, p=0.35, seed=seed)
+        if g.is_isolate_free():
+            products += [(g, generate("path", 3)), (g, generate("cycle", 3))]
+    for seed in range(16):
+        g = _mirrored_random((5, 6, 7, 9, 11, 12)[seed % 6], seed)
+        products.append((g, g) if g.n <= 6 else (g, generate("path", 3)))
+    assert len(products) >= 50
+    carried = 0
+    for g, h in products:
+        prod = cartesian_product(g, h)
+        assert 21 <= prod.graph.n <= 36
+        symmetry = product_symmetry(prod)
+
+        def stabiliser(r, symmetry=symmetry):
+            nonlocal carried
+            perms = symmetry.stabiliser(r)
+            carried += bool(perms)
+            return perms
+
+        for kind in ("gamma", "gamma_t", "gamma_t2"):
+            rooted = solve_bnb(prod.graph, kind, symmetry=Symmetry(symmetry.orbits, stabiliser))
+            assert rooted.value == solve_bnb(prod.graph, kind).value, (g.adj, h.adj, kind)
+    assert carried >= 300, carried
+
+
+def test_stabiliser_element_that_moves_its_point_or_an_orbit_raises():
+    # the solver's own check on what a symmetry hands it, under python -O
+    # too: P3 x C7 has two orbits, the rows over P3's ends and the row over
+    # its middle
+    prod = cartesian_product(generate("path", 3), generate("cycle", 7))
+    orbits = product_symmetry(prod).orbits
+    rotate = tuple(x * 7 + (y + 1) % 7 for x in range(3) for y in range(7))
+
+    def swap_across(r):  # a transposition of two vertices in different orbits
+        a, b = (next(v for v in range(21) if v != r and orbit >> v & 1) for orbit in orbits)
+        perm = list(range(21))
+        perm[a], perm[b] = b, a
+        return [tuple(perm)]
+
+    for stabiliser in (lambda r: [rotate], swap_across):
+        with pytest.raises(AssertionError, match="moves"):
+            solve_bnb(prod.graph, "gamma_t2", symmetry=Symmetry(orbits, stabiliser))
+
+
+def test_stabiliser_element_that_is_not_an_automorphism_raises(monkeypatch):
+    # factor maps that fix a by swapping a + 1 and a + 2 of C7, which
+    # breaks adjacency, must not build a stabiliser, under python -O too
+    import semitotal.graphs
+
+    def maps(n, shift, reversal, a, b):
+        perm = list(range(n))
+        i, j = (a + 1) % n, (a + 2) % n
+        perm[i], perm[j] = j, i
+        return [tuple(range(n)), tuple(perm)] if a == b else []
+
+    monkeypatch.setattr(semitotal.graphs, "_dihedral_maps", maps)
+    prod = cartesian_product(generate("cycle", 7), generate("cycle", 7))
+    with pytest.raises(AssertionError, match="non-automorphism"):
+        solve_bnb(prod.graph, "gamma_t2", symmetry=product_symmetry(prod))
 
 
 @pytest.mark.parametrize(
@@ -412,7 +497,7 @@ def test_orbit_root_witness_gives_the_lexleast_set(left, right):
     # path, cycle and complete products above is); lexleast started from
     # either builds the same set
     prod = cartesian_product(parse_graph6(left), parse_graph6(right))
-    rooted = solve_bnb(prod.graph, "gamma_t2", orbits=product_orbits(prod))
+    rooted = solve_bnb(prod.graph, "gamma_t2", symmetry=product_symmetry(prod))
     plain = solve_bnb(prod.graph, "gamma_t2")
     assert rooted.value == plain.value
     assert rooted.witness != plain.witness
@@ -425,7 +510,7 @@ def test_orbit_root_rejects_orbits_that_do_not_partition():
     g = generate("cycle", 4)
     for orbits in [(0b0111,), (0b0111, 0b1100), (0b0011, 0b1100, 0b10000)]:
         with pytest.raises(ValueError, match="orbits"):
-            solve_bnb(g, "gamma_t2", orbits=orbits)
+            solve_bnb(g, "gamma_t2", symmetry=Symmetry(orbits, lambda r: []))
 
 
 def _search_calls(fn, *args, **kwargs):
@@ -463,16 +548,19 @@ def test_lexleast_search_node_ceiling(left, right, ceiling):
     "left,right,ceiling",
     [
         (("path", 7), ("path", 7), 12_207),
-        (("path", 7), ("cycle", 7), 5_764),
-        (("cycle", 7), ("path", 7), 3_827),
+        (("path", 7), ("cycle", 7), 5_062),
+        (("cycle", 7), ("path", 7), 2_522),
+        (("cycle", 7), ("cycle", 7), 7_259),
     ],
 )
 def test_product_solve_search_node_ceiling(left, right, ceiling):
-    # deterministic performance guard for the orbit root: the unrooted
-    # search visits 28,118, 13,194 and 13,433 nodes
+    # deterministic performance guard for orbital branching: these visit
+    # 12,188, 5,042, 2,502 and 7,239 nodes; with orbits at the root only
+    # 12,188, 5,744, 3,803 and 31,810 (a product of paths has almost no
+    # symmetry below the root); unrooted 28,118, 13,194, 13,433 and 111,379
     prod = cartesian_product(generate(*left), generate(*right))
-    orbits = product_orbits(prod)
-    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", orbits=orbits) <= ceiling
+    symmetry = product_symmetry(prod)
+    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=symmetry) <= ceiling
 
 
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
@@ -482,8 +570,9 @@ def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
 
 
 def test_solve_bnb_witness_check_survives_optimize_flag():
-    # python -O strips assert statements; the witness check and the check on
-    # max_allied_set's set list must not be ones
+    # python -O strips assert statements; the witness check, the checks on
+    # stabiliser elements and the check on max_allied_set's set list must
+    # not be ones
     src = str(Path(semitotal.__file__).resolve().parent.parent)
     proofs_test = Path(__file__).with_name("test_proofs.py")
     proc = subprocess.run(
@@ -496,6 +585,8 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
             "-p",
             "no:cacheprovider",
             f"{__file__}::test_solve_bnb_rejects_invalid_kernel_witness",
+            f"{__file__}::test_stabiliser_element_that_moves_its_point_or_an_orbit_raises",
+            f"{__file__}::test_stabiliser_element_that_is_not_an_automorphism_raises",
             f"{proofs_test}::test_max_allied_set_rejects_empty_set_list",
         ],
         env={**os.environ, "PYTHONPATH": src},
@@ -503,7 +594,7 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "4 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 small_factor = st.builds(
