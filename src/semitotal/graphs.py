@@ -5,11 +5,12 @@ per vertex.  This module is the one place that computes masks: the open
 neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
-``project_left``, ``project_right``, ``col_masks``), the automorphism
-orbits of a graph (``automorphism_orbits``) and the symmetry of a product
-that the product solve reads (``product_symmetry``: orbits and point
-stabilisers).  ``dist`` runs one breadth-first search per call, and
-disconnected pairs carry the ``INF`` sentinel.
+``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
+product that the product solve reads (``product_symmetry``): orbits of the
+group A that each factor's shift, reversal and twin swaps generate, and
+point stabilisers in its subgroup B that the shift and reversal generate.
+``dist`` runs one breadth-first search per call, and disconnected pairs
+carry the ``INF`` sentinel.
 """
 
 import math
@@ -308,60 +309,6 @@ class ProductGraph:
         return f"ProductGraph({self.n_g}x{self.n_h})"
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
-    """Equitable refinement of the ordered partition ``cells`` (disjoint
-    masks), splitting by the cells in ``queue`` first.
-
-    A splitter W splits each cell by the number of neighbours its vertices
-    have in W, fragments in increasing count, in the cell's place; every
-    fragment becomes a splitter, and a pending splitter that splits is
-    replaced by its fragments.  Every step reads only the order of the cells
-    and adjacency counts, so relabelling the graph and the input by a
-    permutation relabels the output by it: an automorphism that maps one
-    input onto another maps the refined partitions onto each other cell by
-    cell.  ``queue`` must hold enough splitters: all cells, or the new
-    singleton when one vertex has just been split off an equitable cell.
-    """
-    cells = list(cells)
-    pending = set(queue)
-    queue = list(queue)
-    for w in queue:  # grows while it is read
-        if w not in pending:
-            continue  # split after it was queued; its fragments are queued
-        pending.discard(w)
-        reach = 0
-        for v in _bits(w):
-            reach |= adj[v]
-        i = 0
-        while i < len(cells):
-            x = cells[i]
-            hit = x & reach
-            if not hit or not x & (x - 1):
-                i += 1
-                continue
-            if not w & (w - 1):  # one splitter vertex: counts 0 and 1
-                frags = [x & ~reach, hit] if hit != x else [x]
-            else:
-                groups: dict[int, int] = {}
-                for v in _bits(x):
-                    k = (adj[v] & w).bit_count()
-                    groups[k] = groups.get(k, 0) | 1 << v
-                frags = [groups[k] for k in sorted(groups)]
-            if len(frags) > 1:
-                pending.discard(x)
-                pending.update(frags)
-                queue.extend(frags)
-                cells[i : i + 1] = frags
-            i += len(frags)
-    return cells
-
-
-def _individualize(adj: tuple[int, ...], cells: list[int], i: int, v: int) -> list[int]:
-    """Split v off cell i of an equitable partition, then refine."""
-    single = 1 << v
-    return _refine(adj, cells[:i] + [single, cells[i] & ~single] + cells[i + 1 :], [single])
-
-
 def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
     """True iff the bijection ``perm`` maps every adjacency row onto the
     row of the image vertex."""
@@ -374,34 +321,6 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
         if adj[perm[v]] != image:
             return False
     return True
-
-
-def _find_automorphism(adj: tuple[int, ...], left: list[int], right: list[int]) -> list[int] | None:
-    """An automorphism that maps each cell of the equitable partition
-    ``left`` onto the same cell of ``right``, or None when there is none.
-
-    Individualise the least vertex x of the first non-singleton cell on the
-    left against each vertex y of that cell on the right, in turn.  An
-    automorphism mapping left onto right maps x to some such y, and then
-    maps the refined partitions onto each other, so the search is
-    exhaustive.  A discrete pair gives one permutation, kept only if it
-    preserves adjacency.
-    """
-    if [c.bit_count() for c in left] != [c.bit_count() for c in right]:
-        return None
-    i = next((k for k, c in enumerate(left) if c & (c - 1)), -1)
-    if i < 0:
-        perm = [0] * len(adj)
-        for a, b in zip(left, right):
-            perm[a.bit_length() - 1] = b.bit_length() - 1
-        return perm if _is_automorphism(adj, perm) else None
-    x = (left[i] & -left[i]).bit_length() - 1
-    fixed = _individualize(adj, left, i, x)
-    for y in _bits(right[i]):
-        perm = _find_automorphism(adj, fixed, _individualize(adj, right, i, y))
-        if perm is not None:
-            return perm
-    return None
 
 
 def _shift_and_reversal(g: Graph) -> tuple[bool, bool]:
@@ -437,33 +356,40 @@ def _dihedral_maps(n: int, shift: bool, reversal: bool, a: int, b: int) -> list[
     return maps
 
 
-def automorphism_orbits(g: Graph) -> tuple[int, ...]:
-    """The orbits of Aut(g) as vertex masks, in order of least vertex.
+def _twin_cycles(rows: tuple[int, ...]) -> list[int] | None:
+    """The permutation that cycles each class of vertices with equal
+    ``rows`` (open or closed neighbourhoods: twins) through its members,
+    in order, or None when the rows are distinct.  A twin has the
+    neighbours of the vertex it replaces, so this preserves adjacency."""
+    twins: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        twins.setdefault(row, []).append(v)
+    if len(twins) == len(rows):
+        return None
+    perm = list(range(len(rows)))
+    for members in twins.values():
+        for u, v in zip(members, members[1:] + members[:1]):
+            perm[u] = v
+    return perm
 
-    Orbits are merged along permutations that preserve adjacency:
 
-    - the shift v -> v + 1 (mod n), tried first: it is one n-cycle, so
-      when it preserves adjacency, as on the cycles and complete graphs of
-      ``generate``, there is one orbit;
-    - the reversal v -> n - 1 - v, which settles the paths of ``generate``;
-    - one cycle through each class of twins (same open, or same closed,
-      neighbourhood), which swaps twins and nothing else;
-    - ``_find_automorphism``: vertices in different cells of the equitable
-      refinement of the unit partition lie in different orbits, and within
-      a cell each vertex not yet merged is tried against the first vertex
-      of every orbit found so far in the cell.
+def _factor_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ...]:
+    """The orbits, as vertex masks in order of least vertex, of the group A
+    of automorphisms of g that these generate:
 
-    The shift and the reversal are checked to preserve adjacency by the
-    test that selects them (``_shift_and_reversal``); every other merging
-    permutation is checked again before it merges, with a raise.
+    - the shift v -> v + 1 (mod n), when ``shift``: it is one n-cycle, so
+      A then has one orbit;
+    - the reversal v -> n - 1 - v, when ``reversal``;
+    - one cycle through each class of open twins (same neighbourhood) and
+      one through each class of closed twins (same closed neighbourhood).
+
+    The flags are ``_shift_and_reversal(g)``, whose tests already checked
+    the shift and the reversal; the twin cycles are checked before they
+    merge, with a raise.  A's orbits lie inside Aut(g)'s and equal them on
+    the cycles, complete graphs, paths and stars of ``generate``; elsewhere
+    they may be finer, which costs the product solve branches, not values.
     """
-    return _automorphism_orbits(g, *_shift_and_reversal(g))
-
-
-def _automorphism_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ...]:
-    """``automorphism_orbits`` given ``_shift_and_reversal(g)``, which
-    ``product_symmetry`` also keeps for its stabilisers."""
-    n, adj = g.n, g.adj
+    n = g.n
     if shift:
         return ((1 << n) - 1,)
     parent = list(range(n))
@@ -477,38 +403,15 @@ def _automorphism_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ..
         for v, w in enumerate(perm):
             parent[find(v)] = find(w)
 
-    def merge(perm: list[int]) -> None:
-        if not _is_automorphism(adj, perm):
-            raise AssertionError(f"orbit merge by a non-automorphism {perm}")
-        union(perm)
-
     if reversal:
         union(list(range(n - 1, -1, -1)))
-    for rows in (adj, g.closed):
-        twins: dict[int, list[int]] = {}
-        for v, row in enumerate(rows):
-            twins.setdefault(row, []).append(v)
-        if len(twins) < n:
-            perm = list(range(n))
-            for members in twins.values():
-                for u, v in zip(members, members[1:] + members[:1]):
-                    perm[u] = v
-            merge(perm)
-    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
-    for i, cell in enumerate(cells):
-        heads: list[int] = []
-        for v in _bits(cell):
-            if any(find(r) == find(v) for r in heads):
-                continue
-            for r in heads:
-                perm = _find_automorphism(
-                    adj, _individualize(adj, cells, i, r), _individualize(adj, cells, i, v)
-                )
-                if perm is not None:
-                    merge(perm)
-                    break
-            else:
-                heads.append(v)
+    for rows in (g.adj, g.closed):
+        perm = _twin_cycles(rows)
+        if perm is None:
+            continue
+        if not _is_automorphism(g.adj, perm):
+            raise AssertionError(f"orbit merge by a non-automorphism {perm}")
+        union(perm)
     orbits: dict[int, int] = {}
     for v in range(n):
         orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
@@ -532,28 +435,29 @@ class Symmetry:
 def product_symmetry(prod: ProductGraph) -> Symmetry:
     """The symmetry of G x H that ``solve_bnb`` reads for a product.
 
-    Orbits: those of Aut(G) x Aut(H) on the flat indices, with the factor
-    swap (a, b) -> (b, a) when G == H; cell (i, j) holds the vertices whose
-    coordinates lie in the i-th orbit of G and the j-th of H.  Stabilisers:
-    in the subgroup that each factor's shift and reversal generate, where
-    they preserve adjacency (``_dihedral_maps``: rotations and reflections,
-    at most 2n elements), with the swap when G == H.  Both are subgroups
-    of Aut(G x H) (Hammack, Imrich and Klavzar, *Handbook of Product
-    Graphs*, 2011): (phi, psi) preserves the product's adjacency exactly
-    when phi preserves G's and psi H's.  So each factor permutation that
-    enters a stabiliser is checked against its factor's adjacency, once,
-    with a raise; that costs the factor's edges, not the product's.  The
-    orbits take the shift and reversal tests they always made; each
-    stabiliser is built by its own call from the few factor permutations
-    that fix or swap its coordinates, so a solve pays only for the root
-    branches it searches.
+    Orbits: those of A = A_G x A_H on the flat indices, with the factor
+    swap (a, b) -> (b, a) when G == H, where each factor's A is generated
+    by its shift, reversal and twin swaps (``_factor_orbits``); cell (i, j)
+    holds the vertices whose coordinates lie in the i-th orbit of G and the
+    j-th of H.  Stabilisers: in the subgroup B of A that each factor's
+    shift and reversal generate, where they preserve adjacency
+    (``_dihedral_maps``: rotations and reflections, at most 2n elements),
+    with the swap when G == H.  Both are subgroups of Aut(G x H) (Hammack,
+    Imrich and Klavzar, *Handbook of Product Graphs*, 2011): (phi, psi)
+    preserves the product's adjacency exactly when phi preserves G's and
+    psi H's.  So each factor permutation that enters a stabiliser is
+    checked against its factor's adjacency, once, with a raise; that costs
+    the factor's edges, not the product's.  The orbits and the stabilisers
+    share one shift and reversal test per factor; each stabiliser is built
+    by its own call from the few factor permutations that fix or swap its
+    coordinates, so a solve pays only for the root branches it searches.
     """
     g, h = prod.left, prod.right
     same = g == h
     flags_g = _shift_and_reversal(g)
     flags_h = flags_g if same else _shift_and_reversal(h)
-    left = _automorphism_orbits(g, *flags_g)
-    right = left if same else _automorphism_orbits(h, *flags_h)
+    left = _factor_orbits(g, *flags_g)
+    right = left if same else _factor_orbits(h, *flags_h)
     # col_masks[0] holds one bit per row, so the product copies an orbit of
     # H into every row
     cols = [orbit * prod.col_masks[0] for orbit in right]

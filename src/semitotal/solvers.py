@@ -509,8 +509,9 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     ``symmetry``, for the domination kinds, describes a group A of
     automorphisms of g: its orbits, disjoint vertex masks covering g, and
     the point stabilisers of a subgroup B of A (``graphs.product_symmetry``
-    builds one for a product).  The root then branches over orbits
-    (``_orbit_root``): a minimum set S meets the cover row of the root
+    builds one for a product: A from each factor's shift, reversal and twin
+    swaps, B from its shift and reversal).  The root then branches over
+    orbits (``_orbit_root``): a minimum set S meets the cover row of the root
     vertex u, so it meets some orbit O_i of the row; take the first such i
     and an automorphism in A that maps a vertex of S in O_i onto r_i.  The
     image of S is minimum, contains r_i, and avoids O_1 ... O_{i-1} because

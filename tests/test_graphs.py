@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from semitotal import (
     INF,
     VertexSet,
-    automorphism_orbits,
     cartesian_product,
     connected_graphs,
     from_edge_list,
     generate,
     product_symmetry,
 )
-from semitotal.graphs import PRODUCT_SIZE_CAP
+from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_orbits, _shift_and_reversal
 
 
 def test_from_edge_list_p2():
@@ -199,10 +198,52 @@ def _orbits_of(n, perms):
     return tuple(orbits)
 
 
+def _orbits(g):
+    """The factor orbits that product_symmetry builds for g."""
+    return _factor_orbits(g, *_shift_and_reversal(g))
+
+
+def _shift_reversal(g):
+    """The shift and the reversal of g, each where it preserves adjacency."""
+    shift, reversal = [*range(1, g.n), 0], list(range(g.n - 1, -1, -1))
+    edges = list(g.edges())
+    return [p for p in (shift, reversal) if all(g.adj[p[u]] >> p[v] & 1 for u, v in edges)]
+
+
+def _generators(g):
+    """The shift and the reversal where they preserve adjacency, and every
+    transposition of two open or two closed twins."""
+    gens = _shift_reversal(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adj[u] == g.adj[v] or g.closed[u] == g.closed[v]:
+                p = list(range(g.n))
+                p[u], p[v] = v, u
+                gens.append(p)
+    return gens
+
+
+def _inside(fine, coarse):
+    """Whether the disjoint masks ``fine`` each lie inside one mask of
+    ``coarse`` and cover what it covers."""
+    return sum(fine) == sum(coarse) and all(any(o & ~c == 0 for c in coarse) for o in fine)
+
+
+def _check_factor_orbits(g):
+    """Assert that g's factor orbits are those of its generators and lie
+    inside Aut(g)'s; return whether they are Aut(g)'s."""
+    orbits, aut = _orbits(g), _orbits_of(g.n, _automorphisms(g))
+    assert orbits == _orbits_of(g.n, _generators(g)), g.adj
+    assert _inside(orbits, aut), g.adj
+    return orbits == aut
+
+
 def test_automorphism_orbits_match_brute_force_on_connected_graphs():
-    for n in range(1, 7):
-        for g in connected_graphs(n):
-            assert automorphism_orbits(g) == _orbits_of(n, _automorphisms(g)), g.adj
+    # the shift, the reversal and twin swaps reach Aut(g)'s orbits on 91 of
+    # the 143 connected graphs of at most 6 vertices; on the other 52 their
+    # orbits are finer, never coarser
+    exact = [_check_factor_orbits(g) for n in range(1, 7) for g in connected_graphs(n)]
+    assert (len(exact), exact.count(False)) == (143, 52)
 
 
 def test_automorphism_orbits_match_brute_force_on_random_isolate_free_graphs():
@@ -211,9 +252,20 @@ def test_automorphism_orbits_match_brute_force_on_random_isolate_free_graphs():
         g = generate("random", 5 + seed % 4, p=(0.3, 0.5, 0.7)[seed % 3], seed=seed)
         if not g.is_isolate_free():
             continue
-        assert automorphism_orbits(g) == _orbits_of(g.n, _automorphisms(g)), g.adj
+        _check_factor_orbits(g)
         checked += 1
     assert checked >= 15
+
+
+def _family_orbits(family, n):
+    """Aut's orbits on the generated member of a family: one orbit on a
+    cycle or complete graph, mirror pairs on a path, centre and leaves on
+    a star."""
+    if family in ("cycle", "complete"):
+        return ((1 << n) - 1,)
+    if family == "path":
+        return tuple(1 << v | 1 << (n - 1 - v) for v in range((n + 1) // 2))
+    return (1, (1 << n) - 2)
 
 
 @pytest.mark.parametrize(
@@ -221,51 +273,89 @@ def test_automorphism_orbits_match_brute_force_on_random_isolate_free_graphs():
     [("cycle", 24, 1), ("complete", 24, 1), ("path", 24, 12), ("star", 9, 2)],
 )
 def test_automorphism_orbits_of_large_families(family, n, count):
-    assert len(automorphism_orbits(generate(family, n))) == count
+    for m in range(3, 8):
+        g = generate(family, m)
+        assert _check_factor_orbits(g) and _orbits(g) == _family_orbits(family, m)
+    orbits = _orbits(generate(family, n))
+    assert len(orbits) == count and orbits == _family_orbits(family, n)
 
 
 def _frucht():
-    # 3-regular, so one cell of the equitable partition, yet only the
-    # identity preserves it
+    # 3-regular and without twins, yet only the identity preserves it
     lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
     edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + lcf[i]) % 12) for i in range(12)]
     return from_edge_list(12, edges)
 
 
 def test_automorphism_orbits_of_a_rigid_cubic_graph():
-    assert automorphism_orbits(_frucht()) == tuple(1 << v for v in range(12))
+    assert _orbits(_frucht()) == tuple(1 << v for v in range(12))
 
 
 def test_automorphism_orbits_refuse_a_merge_that_breaks_adjacency(monkeypatch):
-    # a search that returned a permutation preserving no adjacency must not
-    # merge orbits, under python -O too
+    # a twin step that returned a permutation preserving no adjacency must
+    # not merge orbits, under python -O too
     import semitotal.graphs
 
     swap = [1, 0, *range(2, 12)]
-    monkeypatch.setattr(semitotal.graphs, "_find_automorphism", lambda adj, left, right: swap)
+    monkeypatch.setattr(semitotal.graphs, "_twin_cycles", lambda rows: swap)
     with pytest.raises(AssertionError, match="non-automorphism"):
-        automorphism_orbits(_frucht())
+        product_symmetry(cartesian_product(_frucht(), generate("path", 2)))
+
+
+@pytest.mark.parametrize(
+    "family,n,expected",
+    [
+        ("cycle", 3, True),
+        ("cycle", 8, True),
+        ("complete", 9, True),
+        ("complete", 5, True),
+        ("path", 2, True),
+        ("path", 3, False),
+        ("star", 4, False),
+    ],
+)
+def test_one_product_orbit_exactly_on_cycles_and_complete_graphs(family, n, expected):
+    # the square of a generated factor has one orbit, the root of the plain
+    # search, exactly when the factor is vertex-transitive
+    g = generate(family, n)
+    assert (len(_orbits(g)) == 1) is expected
+    assert (len(product_symmetry(cartesian_product(g, g)).orbits) == 1) is expected
+
+
+def test_two_regular_disconnected_factor_is_not_one_orbit():
+    # C3 and C4 side by side: 2-regular but not vertex-transitive.  Aut has
+    # two orbits, the components; the shift and the reversal fail, so the
+    # orbits are the closed twin class of C3 and the two open twin classes
+    # of C4, and its product with C3 has three orbits
+    c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert _orbits(c3_c4) == (0b0000111, 0b0101000, 0b1010000)
+    assert len(product_symmetry(cartesian_product(c3_c4, generate("cycle", 3))).orbits) == 3
 
 
 def test_product_orbits_are_the_orbits_of_the_factor_groups():
-    # Aut(G) x Aut(H) acting coordinatewise, with the swap when G == H;
-    # every such permutation is an automorphism of the product
+    # the factors' generator groups acting coordinatewise, with the swap
+    # when G == H; each of their orbits lies inside one orbit of
+    # Aut(G) x Aut(H), with the swap when G == H, whose every element is an
+    # automorphism of the product
     factors = [g for n in range(2, 5) for g in connected_graphs(n)]
     for g in factors:
         for h in factors:
             prod = cartesian_product(g, h)
-            perms = [
-                [phi[a] * h.n + psi[b] for a in range(g.n) for b in range(h.n)]
-                for phi in _automorphisms(g)
-                for psi in _automorphisms(h)
-            ]
-            if g == h:
-                perms.append([b * h.n + a for a in range(g.n) for b in range(h.n)])
             n, adj = prod.graph.n, prod.graph.adj
-            for p in perms:
+
+            def lift(phi, psi):
+                return [phi[a] * h.n + psi[b] for a in range(g.n) for b in range(h.n)]
+
+            swap = [[b * h.n + a for a in range(g.n) for b in range(h.n)]] if g == h else []
+            gens = [lift(phi, range(h.n)) for phi in _generators(g)]
+            gens += [lift(range(g.n), psi) for psi in _generators(h)] + swap
+            auts = [lift(phi, psi) for phi in _automorphisms(g) for psi in _automorphisms(h)] + swap
+            for p in auts:
                 for v in range(n):
                     assert adj[p[v]] == sum(1 << p[w] for w in range(n) if adj[v] >> w & 1)
-            assert sorted(product_symmetry(prod).orbits) == sorted(_orbits_of(n, perms))
+            orbits = product_symmetry(prod).orbits
+            assert sorted(orbits) == sorted(_orbits_of(n, gens))
+            assert _inside(orbits, _orbits_of(n, auts))
 
 
 def _generated(n, generators):
@@ -283,10 +373,7 @@ def _generated(n, generators):
 
 
 def _rotation_reflection_group(g):
-    shift, reversal = [*range(1, g.n), 0], list(range(g.n - 1, -1, -1))
-    edges = list(g.edges())
-    kept = [p for p in (shift, reversal) if all(g.adj[p[u]] >> p[v] & 1 for u, v in edges)]
-    return _generated(g.n, kept)
+    return _generated(g.n, _shift_reversal(g))
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,11 @@ from semitotal import (
     InstanceRecord,
     IsolateError,
     ScanOptions,
-    automorphism_orbits,
     cartesian_product,
     from_edge_list,
     generate,
     hunt_from_records,
     parse_graph6,
-    product_symmetry,
     scan,
     summarize,
     verify_pair,
@@ -78,33 +76,6 @@ def test_verify_pair_replays_beyond_oracle_limit():
     assert record.skipped is None
     assert record.replay == {c: "pass" for c in REPLAY_CHECKS}
     assert record.findings == []
-
-
-@pytest.mark.parametrize(
-    "family,n,expected",
-    [
-        ("cycle", 3, True),
-        ("cycle", 8, True),
-        ("complete", 9, True),
-        ("complete", 5, True),
-        ("path", 2, True),
-        ("path", 3, False),
-        ("star", 4, False),
-    ],
-)
-def test_cycle_or_complete_factor_check(family, n, expected):
-    # the product orbits verify_pair roots the search with are one orbit,
-    # the old vertex-0 root, exactly for these vertex-transitive factors
-    g = generate(family, n)
-    assert (len(automorphism_orbits(g)) == 1) is expected
-    assert (len(product_symmetry(cartesian_product(g, g)).orbits) == 1) is expected
-
-
-def test_factor_check_rejects_disconnected_two_regular():
-    # C3 and C4 side by side: 2-regular but not vertex-transitive
-    c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
-    assert automorphism_orbits(c3_c4) == (0b0000111, 0b1111000)
-    assert len(product_symmetry(cartesian_product(c3_c4, generate("cycle", 3))).orbits) == 2
 
 
 def test_verify_pair_passes_the_product_orbits(monkeypatch):
