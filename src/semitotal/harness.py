@@ -37,7 +37,8 @@ from .solvers import (
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
 # Products of this order or more are solved with their symmetry: orbits at
-# the root and stabiliser orbits below it.  Smaller ones are solved without:
+# the root and stabiliser orbits below it; their lexleast set bars each
+# failed probe's orbit.  Smaller ones are solved without:
 # on up to 20 vertices the plain search costs about what the orbits do.
 ORBIT_ROOT_MIN_ORDER = 21
 
@@ -226,7 +227,7 @@ def verify_pair(
     # The bounds read only the value; the canonical set is built once, when
     # the replay or a bound_violation finding reads it.
     if options.replay or not (record.bound_thm1_ok and record.bound_thm2_ok):
-        d = lexleast_min_semitotal_set(prod.graph, minimum=minimum)
+        d = lexleast_min_semitotal_set(prod.graph, minimum=minimum, symmetry=symmetry)
         d_list = sorted(d.vertices())
     record.timing["solve_prod"] = clock() - t
 

@@ -22,8 +22,11 @@ neighbourhoods meet theirs.  Given a group of automorphisms of the graph
 group's orbits, and below each root branch over the orbits of the
 stabiliser of the vertices chosen so far.  An automorphism moves some
 minimum set into the branch of the first orbit it meets.  That keeps the
-value, not the witness, so the label-dependent modes never take a
-symmetry.  The packing number has its own search.
+value, not the witness, so the kernel's label-dependent modes never take a
+symmetry.  ``lexleast_min_semitotal_set`` reads one between its probes: a
+probe that fails bars the orbit of its vertex under the automorphisms
+that fix the vertices locked so far.  The packing number has its own
+search.
 """
 
 from collections.abc import Callable
@@ -285,7 +288,8 @@ def _search_kernel(
     contains C and v_j and avoids X and O_1 ... O_{j-1}, which are
     K-invariant, so child j's region holds it.  Optimise mode therefore
     keeps the minimum value; the lexleast probes and the enumeration read
-    labels and never take a stabiliser.
+    labels and never take a stabiliser (lexleast reads its symmetry between
+    probes, not in them).
     """
     n = g.n
     full = (1 << n) - 1
@@ -374,7 +378,9 @@ def _search_kernel(
     return best
 
 
-def lexleast_min_semitotal_set(g: Graph, *, minimum: VertexSet | None = None) -> VertexSet:
+def lexleast_min_semitotal_set(
+    g: Graph, *, minimum: VertexSet | None = None, symmetry: Symmetry | None = None
+) -> VertexSet:
     """The lexicographically least minimum semi-total dominating set.
 
     Canonical replay witness: agrees with the oracle's witness wherever the
@@ -384,6 +390,31 @@ def lexleast_min_semitotal_set(g: Graph, *, minimum: VertexSet | None = None) ->
     ``minimum``, a minimum semi-total dominating set the caller has solved
     for (``verify_pair`` passes its product solve's witness), or else the
     witness of ``solve_bnb(g, "gamma_t2")``; the set does not depend on which.
+
+    The loop keeps the locked prefix C and ``barred``, the whole excluded
+    set of each probe.  Let F be the minimum sets that contain C and avoid
+    ``barred``.  Invariant: F holds exactly the sets the plain ascending
+    scan searches, which avoid every vertex below the next probe but C's.
+    ``barred`` holds those vertices and otherwise only vertices in no set
+    of F, so each probe succeeds exactly when the plain scan's does, and a
+    barred vertex is never probed.  Without ``symmetry`` a failed probe
+    bars v alone, and ``barred`` is the plain scan's excluded set.
+
+    With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
+    under K, a group of automorphisms that fix C pointwise: A while C is
+    empty, then the stabiliser in B of C's first vertex, then after each
+    lock the elements of the level above that also fix the new vertex.
+    Every k in K keeps ``barred``: it is a union of A's orbits until the
+    first lock, the checked stabiliser elements keep A's orbits, and a
+    union of K's orbits is one of each subgroup's.  So k maps F onto
+    itself.  When the probe at v fails, no set of F contains v, and a set
+    of F that contained k(v) would give, under k's inverse, one that
+    contains v.  So v's orbit lies in no set of F, and barring it keeps F
+    and the invariant; a lock only shrinks F and K.  The probes take no
+    stabiliser: their witnesses may differ from the plain scan's, the set
+    does not.  Orbits that do not partition the vertices raise
+    ``ValueError``, and a stabiliser element that moves its point or an
+    orbit ``AssertionError`` (``_read_symmetry``).
     """
     _check_isolate_free(g)
     if minimum is None:
@@ -393,21 +424,34 @@ def lexleast_min_semitotal_set(g: Graph, *, minimum: VertexSet | None = None) ->
     witness = minimum.mask
     value = witness.bit_count()
     tables = _kernel_tables(g, "gamma_t2")
-    chosen = 0
-    floor = 0
+    if symmetry is not None:
+        orbit_of, stabiliser = _read_symmetry(g.n, symmetry)
+    stab = None  # K's elements other than the identity, once C is not empty
+
+    def orbit(v: int) -> int:  # v's orbit under K
+        if stab is None:
+            return 1 << v if symmetry is None else symmetry.orbits[orbit_of[v]]
+        mask = 1 << v
+        for p in stab:
+            mask |= 1 << p[v]
+        return mask
+
+    chosen = barred = floor = 0
     for _ in range(value):
         for v in range(floor, g.n):
+            if barred >> v & 1:
+                continue
             probe = chosen | 1 << v
-            below = (1 << (v + 1)) - 1
-            if witness & below != probe:
-                found = _search_kernel(
-                    g, tables, budget=value, chosen0=probe, excluded0=below & ~probe
-                )
+            if witness & ((1 << (v + 1)) - 1) != probe:
+                found = _search_kernel(g, tables, budget=value, chosen0=probe, excluded0=barred)
                 if found is None:
+                    barred |= orbit(v)
                     continue
                 witness = found
             chosen = probe
             floor = v + 1
+            if symmetry is not None:
+                stab = stabiliser(v) if stab is None else [p for p in stab if p[v] == v]
             break
         else:
             raise AssertionError("lexicographic extension must exist at the optimum size")
@@ -447,6 +491,39 @@ def _max_two_packing_bnb(g: Graph) -> int:
     return best_mask
 
 
+def _read_symmetry(n: int, symmetry: Symmetry) -> tuple[list[int], Callable[[int], list]]:
+    """Check a symmetry on n vertices and give ``orbit_of``, the index of
+    each vertex's orbit, and a checked ``stabiliser(r)``.
+
+    Orbits that are not disjoint masks covering the vertices raise
+    ``ValueError``.  Each element of a stabiliser must fix r and map every
+    orbit onto itself, or ``stabiliser(r)`` raises ``AssertionError``: the
+    searches that read it need the unions of orbits they exclude to stay
+    invariant.  That the elements preserve adjacency is checked where they
+    are built (``graphs.product_symmetry`` checks their factor
+    permutations), at the factors' cost, not the product's.
+    """
+    orbits = symmetry.orbits
+    union = 0
+    for orbit in orbits:
+        union |= orbit
+    if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
+        raise ValueError("orbits must be disjoint vertex masks that cover the graph")
+    orbit_of = [0] * n
+    for k, orbit in enumerate(orbits):
+        for w in _bits(orbit):
+            orbit_of[w] = k
+
+    def stabiliser(r: int) -> list:
+        perms = symmetry.stabiliser(r)
+        for p in perms:
+            if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
+                raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
+        return perms
+
+    return orbit_of, stabiliser
+
+
 def _orbit_root(g: Graph, tables: tuple, incumbent: int, symmetry: Symmetry) -> int:
     """Optimise from ``incumbent`` with the root's branches taken over the
     symmetry's orbits and each branch's node carrying its stabiliser.
@@ -459,29 +536,19 @@ def _orbit_root(g: Graph, tables: tuple, incumbent: int, symmetry: Symmetry) -> 
     incumbent carries across branches.  An incumbent that meets the
     counting bound on all n vertices is minimum, and no branch runs, as the
     unrooted kernel prunes at its root.  The stabiliser of r_i is asked for
-    only when branch i's node branches.  Each of its permutations must fix r_i
-    and map every orbit onto itself, which keeps O_1 ... O_{i-1} invariant
-    as ``_search_kernel`` needs, or this raises; that they preserve
-    adjacency is checked where they are built (``graphs.product_symmetry``
-    checks their factor permutations), at the factors' cost, not the
-    product's.
+    only when branch i's node branches, and ``_read_symmetry`` checks it,
+    which keeps O_1 ... O_{i-1} invariant as ``_search_kernel`` needs.
     """
     n = g.n
     orbits = symmetry.orbits
-    union = 0
-    for orbit in orbits:
-        union |= orbit
-    if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
-        raise ValueError("orbits must be disjoint vertex masks that cover the graph")
+    orbit_of, stabiliser = _read_symmetry(n, symmetry)
     cover, _, negdeg, (num, den) = tables
     if incumbent.bit_count() <= (n * num + den - 1) // den:
         return incumbent
-    orbit_of = [0] * n
     meets = [0] * n  # meets[v]: the orbits that cover[v] meets
-    for k, orbit in enumerate(orbits):
+    for orbit in orbits:
         reach = 0  # cover rows are symmetric, so reach holds each v whose row meets the orbit
         for w in _bits(orbit):
-            orbit_of[w] = k
             reach |= cover[w]
         for v in _bits(reach):
             meets[v] += 1
@@ -492,14 +559,6 @@ def _orbit_root(g: Graph, tables: tuple, incumbent: int, symmetry: Symmetry) -> 
         if not orbit & excluded:  # r is its orbit's first vertex in the row
             root.append((r, orbit))
             excluded |= orbit
-
-    def stabiliser(r: int) -> list:
-        perms = symmetry.stabiliser(r)
-        for p in perms:
-            if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
-                raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
-        return perms
-
     return _search_kernel(g, tables, incumbent=incumbent, root=root, stabiliser=stabiliser)
 
 
@@ -522,9 +581,10 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     node's region onto one inside the branch of the first of its orbits
     that set meets, and each child carries the elements that also fix its
     own vertex.  This keeps the value only: the witness may be another
-    minimum set than the one the unrooted search returns, and
-    label-dependent searches (lexleast probes, the enumeration) must not
-    take a symmetry.  Singleton orbits and empty stabilisers give the
+    minimum set than the one the unrooted search returns, so the kernel's
+    label-dependent searches (lexleast probes, the enumeration) take no
+    symmetry; lexleast reads one only between probes, to bar the orbits of
+    failed ones.  Singleton orbits and empty stabilisers give the
     unrooted search's branches and witness.  Orbits that do not partition
     the vertices raise ``ValueError``; a stabiliser element that moves its
     point or an orbit raises ``AssertionError``, as does, in

@@ -86,27 +86,36 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
         (("cycle", 7), ("path", 3)),
         (("cycle", 5), ("path", 4)),
     ]
-    seen = []
+    given, handed = [], []
     solve = semitotal.harness.solve_bnb
+    lexleast = semitotal.harness.lexleast_min_semitotal_set
 
     def spy_solve(g, kind, **kw):
         if g.n > 7:  # the product, not a factor
-            symmetry = kw.get("symmetry")
-            seen.append(symmetry and symmetry.orbits)
+            given.append(kw.get("symmetry"))
         else:
             assert "symmetry" not in kw
         return solve(g, kind, **kw)
 
+    def spy_lexleast(g, **kw):
+        handed.append(kw["symmetry"])
+        return lexleast(g, **kw)
+
     monkeypatch.setattr(semitotal.harness, "solve_bnb", spy_solve)
+    monkeypatch.setattr(semitotal.harness, "lexleast_min_semitotal_set", spy_lexleast)
     for replay in (False, True):
-        seen.clear()
+        given.clear()
+        handed.clear()
         for left, right in pairs:
             verify_pair(generate(*left), generate(*right), options(replay=replay))
         # C7 x K3 is vertex-transitive; C7 x P3 has two orbits, the vertices
         # over P3's ends and those over its middle; C5 x P4 has 20 vertices,
         # below ORBIT_ROOT_MIN_ORDER
         middle = sum(1 << (3 * g + 1) for g in range(7))
+        seen = [symmetry and symmetry.orbits for symmetry in given]
         assert seen == [((1 << 21) - 1,), ((1 << 21) - 1 & ~middle, middle), None], replay
+        if replay:  # the replay's lexleast reads the product solve's own symmetry
+            assert [id(symmetry) for symmetry in handed] == [id(symmetry) for symmetry in given]
 
 
 @pytest.mark.parametrize("replay", [False, True])
@@ -143,7 +152,8 @@ def test_verify_pair_solves_the_product_once(monkeypatch, replay):
         record = verify_pair(g, h, options(replay=replay))
         assert any(f["kind"] == "bound_violation" for f in record.findings) is violates
         assert solves == ["gamma_t2"], (left, right)
-        assert lexleasts == ([["minimum"]] if replay or violates else []), (left, right)
+        expected = [["minimum", "symmetry"]] if replay or violates else []
+        assert lexleasts == expected, (left, right)
 
 
 def test_verify_pair_builds_lexleast_only_for_findings(monkeypatch):
