@@ -49,10 +49,14 @@ def _generated(ident: str, name: str, n: int, **params) -> tuple[str, str]:
     return ident, emit_graph6(graph)
 
 
-def _resolve_family(name: str, lo: int, hi: int) -> list[tuple[str, str]]:
+def _orders(name: str, lo: int, hi: int) -> range:
     if hi < lo:
         raise FamilySpecError(f"empty range {lo}-{hi} for family {name}")
-    return [_generated(f"{name}:{n}", name, n) for n in range(lo, hi + 1)]
+    return range(lo, hi + 1)
+
+
+def _resolve_family(name: str, lo: int, hi: int) -> list[tuple[str, str]]:
+    return [_generated(f"{name}:{n}", name, n) for n in _orders(name, lo, hi)]
 
 
 def parse_factor_token(token: str) -> list[tuple[str, str]]:
@@ -135,7 +139,7 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
     if name == "random":
         return [
             _generated(f"random:{n}:p{p}:s{seed}", "random", n, p=p, seed=seed)
-            for n in range(lo, hi + 1)
+            for n in _orders(name, lo, hi)
         ]
     family = _FAMILY_NAMES.get(name)
     if family is None:

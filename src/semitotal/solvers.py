@@ -16,22 +16,13 @@ rows: a gamma member covers at most max degree + 1 vertices, a gamma_t member
 at most max degree, and a gamma_t2 member at most max degree + 1/2 on
 average, because members come with partners within distance 2 whose closed
 neighbourhoods meet theirs.  Given a group of automorphisms of the graph
-(``graphs.Symmetry``), ``solve_bnb`` branches over orbits, not vertices
-(orbital branching, after Ostrowski, Linderoth, Rossi and Smriglio,
-"Orbital branching", Math. Program. 126, 2011): at the root over the
-group's orbits, and below each root branch over the orbits of the
-stabiliser of the vertices chosen so far.  An automorphism moves some
-minimum set into the branch of the first orbit it meets.  That keeps the
-value, not the witness, so the kernel's label-dependent modes never take a
-symmetry.  ``lexleast_min_semitotal_set`` reads one between its probes: a
-probe that fails bars the orbit of its vertex under the automorphisms
-that fix the vertices locked so far.  The packing number has its own
-search.
+(``graphs.Symmetry``), ``solve_bnb`` branches over orbits, not vertices,
+at the root and below it, and ``lexleast_min_semitotal_set`` bars the orbit
+of each failed probe between its probes; ``_Group`` holds the group and the
+argument that both keep the value.  The packing number has its own search.
 """
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 from .graphs import Graph, Symmetry, VertexSet, _bits
@@ -221,6 +212,99 @@ def _greedy_domination(g: Graph, tables: tuple) -> int:
     return chosen
 
 
+class _Group:
+    """A group K of automorphisms of a graph, in the two operations that
+    orbital branching reads (Ostrowski, Linderoth, Rossi and Smriglio,
+    "Orbital branching", Math. Program. 126, 2011): ``orbit(v)``, v's orbit
+    under K as a vertex mask, and ``fix(v)``, the subgroup of K that fixes
+    v, or None when that is the identity alone.
+
+    Two sources.  ``_Group.of(n, symmetry)`` reads a ``graphs.Symmetry``:
+    K is its group A, whose orbits it lists, and ``fix(r)`` is the
+    stabiliser of r in its subgroup B, asked of the symmetry only when the
+    new group is first read.  ``_Group(elements)`` holds K's elements other
+    than the identity, as tuples p with p[v] the image of v, a whole group
+    but for the identity, so that v's images are its orbit (or ``build``,
+    which makes them on the first read); its ``fix(v)`` keeps those that
+    fix v.  Orbits that are not disjoint masks covering the vertices raise
+    ``ValueError``, and a stabiliser element that moves its point or one of
+    A's orbits raises ``AssertionError``, so that every union of A's orbits
+    stays invariant under the groups below.  That the elements preserve
+    adjacency is checked where they are built (``graphs.product_symmetry``
+    checks their factor permutations), at the factors' cost, not the
+    graph's.
+
+    Why orbits keep the value.  Let R be the sets of one kind that contain
+    a set C and avoid a set X, and let K fix C pointwise and map X onto
+    itself; then every k in K maps R onto itself and keeps sizes.
+
+    - Branching (``_search_kernel``).  Every set of R meets the node's
+      candidates, which it takes in order, skipping each in the orbit O_i
+      of an earlier candidate v_i, so every candidate lies in some O_j.
+      Child j searches the sets of R that contain v_j and avoid
+      O_1 ... O_{j-1}.  A minimum set S of R meets a first O_j, at w say;
+      for k in K with k(w) = v_j, k(S) is a minimum set of R that contains
+      v_j and avoids O_1 ... O_{j-1}, which are K-invariant, so child j
+      holds it.  The child carries ``fix(v_j)``, which fixes C and v_j and
+      keeps X and each O_i, so the argument runs on down the tree.
+    - Barring (``lexleast_min_semitotal_set``).  When no minimum set of R
+      contains v, none contains k(v), since k's inverse would map it to
+      one that contains v; so v's whole orbit can join X, which keeps R's
+      minimum sets and keeps X K-invariant.
+
+    At the root C and X are empty and K = A; below it each group is a
+    stabiliser in B, whose checked elements keep A's orbits.  Either use
+    keeps the minimum, not the witness: a group moves the search to other
+    sets, so label-dependent searches (lexleast probes, the enumeration)
+    take none.
+    """
+
+    __slots__ = ("_elements", "_build", "_orbits", "_stabiliser")
+
+    def __init__(self, elements=None, build=None, orbits=None, stabiliser=None):
+        self._elements, self._build = elements, build
+        self._orbits, self._stabiliser = orbits, stabiliser  # a symmetry's A
+
+    @classmethod
+    def of(cls, n: int, symmetry: Symmetry) -> "_Group":
+        union = 0
+        for orbit in symmetry.orbits:
+            union |= orbit
+        if union != (1 << n) - 1 or sum(o.bit_count() for o in symmetry.orbits) != n:
+            raise ValueError("orbits must be disjoint vertex masks that cover the graph")
+        orbits = [0] * n
+        for orbit in symmetry.orbits:
+            for w in _bits(orbit):
+                orbits[w] = orbit
+
+        def stabiliser(r: int) -> list:
+            perms = symmetry.stabiliser(r)
+            for p in perms:
+                if p[r] != r or [orbits[w] for w in p] != orbits:
+                    raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
+            return perms
+
+        return cls(orbits=orbits, stabiliser=stabiliser)
+
+    def orbit(self, v: int) -> int:
+        if self._orbits is not None:
+            return self._orbits[v]
+        if self._elements is None:
+            self._elements = self._build()
+        mask = 1 << v
+        for p in self._elements:
+            mask |= 1 << p[v]
+        return mask
+
+    def fix(self, v: int) -> "_Group | None":
+        if self._stabiliser is not None:
+            return _Group(build=lambda: self._stabiliser(v))
+        if self._elements is None:
+            self._elements = self._build()
+        kept = [p for p in self._elements if p[v] == v]
+        return _Group(kept) if kept else None
+
+
 def _search_kernel(
     g: Graph,
     tables: tuple,
@@ -230,17 +314,11 @@ def _search_kernel(
     chosen0: int = 0,
     excluded0: int = 0,
     collect: list | None = None,
-    root: list[tuple[int, int]] | None = None,
-    stabiliser: Callable[[int], list] | None = None,
+    group: _Group | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
-    Searches the sets that contain ``chosen0`` and avoid ``excluded0``.
-    ``root``, a list of (vertex, mask) pairs, replaces the root's branches:
-    branch i adds vertex i and avoids the masks of the branches before it
-    (``_orbit_root`` passes one pair per orbit).  ``stabiliser(v)`` gives
-    the stabiliser that root branch v carries (see below), called only when
-    that branch's node gets past its bounds and branches.  Two
+    Searches the sets that contain ``chosen0`` and avoid ``excluded0``.  Two
     modes: *optimise* (``incumbent`` given) returns a minimum set, or the
     incumbent when nothing smaller exists; *budgeted-feasible* returns the
     first set of at most ``budget`` vertices, or None.  With ``collect`` given,
@@ -270,26 +348,17 @@ def _search_kernel(
     sequence, the first feasible leaf and the collected sets do not depend
     on how strong they are.
 
-    Orbital branching below the root.  A node may carry a stabiliser K:
-    the elements other than the identity of a group of automorphisms that
-    fix every chosen vertex.  With K empty the node runs the plain loop.
-    Otherwise it branches over K's orbits on its candidates, in candidate
-    order: the child for v carries the elements of K that fix v, and after
-    it v's orbit, v and each p[v], joins the excluded set, so that a later
-    candidate in it is skipped.  This keeps the value by ``_orbit_root``'s
-    argument one level down.  The node's excluded set X is K-invariant: it
-    is a union of root orbits, which every element maps onto themselves
-    (``_orbit_root`` checks it), and of orbits of ancestors' stabilisers,
-    which contain K.  K fixes the chosen set C and so the covered set.  A
-    minimum set S of the node's region (S contains C and avoids X) meets
-    the candidates, so it meets some of their orbits; let O_j be the first
-    in branch order, v_j its candidate, w a vertex of S in O_j and k in K
-    with k(w) = v_j.  Then k(S) is a set of S's kind and size that
-    contains C and v_j and avoids X and O_1 ... O_{j-1}, which are
-    K-invariant, so child j's region holds it.  Optimise mode therefore
-    keeps the minimum value; the lexleast probes and the enumeration read
-    labels and never take a stabiliser (lexleast reads its symmetry between
-    probes, not in them).
+    ``group``, a ``_Group`` that fixes ``chosen0`` and keeps ``excluded0``,
+    is the root's; a node with a group takes one child per orbit of it
+    among its candidates, skips a candidate in the orbit of an earlier one,
+    and gives the child for v the group ``fix(v)``.  A node without one is
+    the trivial case.  The root then branches on the cover row of the
+    uncovered vertex whose row meets the fewest orbits (least index on
+    ties), not the row with the fewest candidates: each orbit it meets is
+    one root branch, and the fewest-candidates row takes 1,261 calls in
+    place of 686 on one 10-vertex random factor x P3.  This keeps the
+    minimum, not the witness (see ``_Group``), so only optimise mode takes
+    a group.
     """
     n = g.n
     full = (1 << n) - 1
@@ -298,7 +367,7 @@ def _search_kernel(
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
 
-    def search(chosen: int, covered: int, excluded: int, size: int, stab) -> bool:
+    def search(chosen: int, covered: int, excluded: int, size: int, group, row=0) -> bool:
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
@@ -320,6 +389,7 @@ def _search_kernel(
                 if count < branch_count:
                     avail, branch_count = options, count
             bound = max(bound, disjoint)
+            avail = row or avail
         else:
             lonely = -1
             if partners is not None:
@@ -340,25 +410,13 @@ def _search_kernel(
         if size + bound >= best_size:
             return False
         ex = excluded
-        if stab and callable(stab):
-            stab = stab()  # a root branch's stabiliser, built once its node branches
-        if stab:  # one child per orbit of stab on the candidates
-            for v in sorted(_bits(avail), key=negdeg.__getitem__):
-                if ex >> v & 1:
-                    continue  # in the orbit of an earlier candidate
-                fix = [p for p in stab if p[v] == v]
-                if search(chosen | 1 << v, covered | cover[v], ex, size + 1, fix):
-                    return True
-                ex |= 1 << v
-                for p in stab:
-                    ex |= 1 << p[v]
-                if size + bound >= best_size:
-                    return False
-            return False
         for v in sorted(_bits(avail), key=negdeg.__getitem__):
-            if search(chosen | 1 << v, covered | cover[v], ex, size + 1, stab):
+            if ex >> v & 1:
+                continue  # in the orbit of an earlier candidate
+            child = None if group is None else group.fix(v)
+            if search(chosen | 1 << v, covered | cover[v], ex, size + 1, child):
                 return True
-            ex |= 1 << v
+            ex |= 1 << v if group is None else group.orbit(v)
             if size + bound >= best_size:
                 return False  # incumbent improved below this node's bound
         return False
@@ -366,15 +424,20 @@ def _search_kernel(
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    size0 = chosen0.bit_count()
-    if root is None:
-        search(chosen0, covered0, excluded0, size0, [])
-    else:
-        for v, mask in root:
-            stab = partial(stabiliser, v)
-            if search(chosen0 | 1 << v, covered0 | cover[v], excluded0, size0 + 1, stab):
-                break
-            excluded0 |= mask
+    row = 0
+    if group is not None and covered0 != full:
+        meets, seen = [0] * n, 0  # meets[v]: the orbits that cover[v] meets
+        for w in range(n):
+            if not seen >> w & 1:
+                orbit = group.orbit(w)
+                seen |= orbit
+                reach = 0  # cover rows are symmetric: each v whose row meets the orbit
+                for x in _bits(orbit):
+                    reach |= cover[x]
+                for v in _bits(reach):
+                    meets[v] += 1
+        row = cover[min(_bits(full & ~covered0), key=meets.__getitem__)] & ~excluded0
+    search(chosen0, covered0, excluded0, chosen0.bit_count(), group, row)
     return best
 
 
@@ -391,6 +454,12 @@ def lexleast_min_semitotal_set(
     for (``verify_pair`` passes its product solve's witness), or else the
     witness of ``solve_bnb(g, "gamma_t2")``; the set does not depend on which.
 
+    ``minimum`` must be bound to g (``ValueError`` otherwise) and
+    semi-total dominating (``AssertionError`` otherwise); that it is
+    minimum is trusted, not checked.  A larger start returns the least set
+    of its own size: {0, 1, 2, 4} on P6 from {1, 2, 3, 4}, where
+    gamma_t2 = 3.
+
     The loop keeps the locked prefix C and ``barred``, the whole excluded
     set of each probe.  Let F be the minimum sets that contain C and avoid
     ``barred``.  Invariant: F holds exactly the sets the plain ascending
@@ -401,41 +470,22 @@ def lexleast_min_semitotal_set(
     bars v alone, and ``barred`` is the plain scan's excluded set.
 
     With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
-    under K, a group of automorphisms that fix C pointwise: A while C is
-    empty, then the stabiliser in B of C's first vertex, then after each
-    lock the elements of the level above that also fix the new vertex.
-    Every k in K keeps ``barred``: it is a union of A's orbits until the
-    first lock, the checked stabiliser elements keep A's orbits, and a
-    union of K's orbits is one of each subgroup's.  So k maps F onto
-    itself.  When the probe at v fails, no set of F contains v, and a set
-    of F that contained k(v) would give, under k's inverse, one that
-    contains v.  So v's orbit lies in no set of F, and barring it keeps F
-    and the invariant; a lock only shrinks F and K.  The probes take no
-    stabiliser: their witnesses may differ from the plain scan's, the set
-    does not.  Orbits that do not partition the vertices raise
-    ``ValueError``, and a stabiliser element that moves its point or an
-    orbit ``AssertionError`` (``_read_symmetry``).
+    under the group K of the symmetry's ``_Group``: A while C is empty,
+    then ``fix`` of each locked vertex in turn, so that K fixes C.  Every
+    union of orbits of K is one of each group below it, so K keeps
+    ``barred``, and barring an orbit keeps F (``_Group``, barring); a lock
+    only shrinks F and K.  The probes take no group: their witnesses may
+    differ from the plain scan's, the set does not.
     """
     _check_isolate_free(g)
     if minimum is None:
         minimum = solve_bnb(g, "gamma_t2").witness
-    elif not _semitotal_dominating_mask(g, minimum.mask):
+    elif not _semitotal_dominating_mask(g, _check_set(g, minimum)):
         raise AssertionError(f"starting set {minimum.mask:#x} is not semi-total dominating")
     witness = minimum.mask
     value = witness.bit_count()
     tables = _kernel_tables(g, "gamma_t2")
-    if symmetry is not None:
-        orbit_of, stabiliser = _read_symmetry(g.n, symmetry)
-    stab = None  # K's elements other than the identity, once C is not empty
-
-    def orbit(v: int) -> int:  # v's orbit under K
-        if stab is None:
-            return 1 << v if symmetry is None else symmetry.orbits[orbit_of[v]]
-        mask = 1 << v
-        for p in stab:
-            mask |= 1 << p[v]
-        return mask
-
+    group = None if symmetry is None else _Group.of(g.n, symmetry)
     chosen = barred = floor = 0
     for _ in range(value):
         for v in range(floor, g.n):
@@ -445,13 +495,13 @@ def lexleast_min_semitotal_set(
             if witness & ((1 << (v + 1)) - 1) != probe:
                 found = _search_kernel(g, tables, budget=value, chosen0=probe, excluded0=barred)
                 if found is None:
-                    barred |= orbit(v)
+                    barred |= 1 << v if group is None else group.orbit(v)
                     continue
                 witness = found
             chosen = probe
             floor = v + 1
-            if symmetry is not None:
-                stab = stabiliser(v) if stab is None else [p for p in stab if p[v] == v]
+            if group is not None:
+                group = group.fix(v)
             break
         else:
             raise AssertionError("lexicographic extension must exist at the optimum size")
@@ -491,77 +541,6 @@ def _max_two_packing_bnb(g: Graph) -> int:
     return best_mask
 
 
-def _read_symmetry(n: int, symmetry: Symmetry) -> tuple[list[int], Callable[[int], list]]:
-    """Check a symmetry on n vertices and give ``orbit_of``, the index of
-    each vertex's orbit, and a checked ``stabiliser(r)``.
-
-    Orbits that are not disjoint masks covering the vertices raise
-    ``ValueError``.  Each element of a stabiliser must fix r and map every
-    orbit onto itself, or ``stabiliser(r)`` raises ``AssertionError``: the
-    searches that read it need the unions of orbits they exclude to stay
-    invariant.  That the elements preserve adjacency is checked where they
-    are built (``graphs.product_symmetry`` checks their factor
-    permutations), at the factors' cost, not the product's.
-    """
-    orbits = symmetry.orbits
-    union = 0
-    for orbit in orbits:
-        union |= orbit
-    if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
-        raise ValueError("orbits must be disjoint vertex masks that cover the graph")
-    orbit_of = [0] * n
-    for k, orbit in enumerate(orbits):
-        for w in _bits(orbit):
-            orbit_of[w] = k
-
-    def stabiliser(r: int) -> list:
-        perms = symmetry.stabiliser(r)
-        for p in perms:
-            if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
-                raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
-        return perms
-
-    return orbit_of, stabiliser
-
-
-def _orbit_root(g: Graph, tables: tuple, incumbent: int, symmetry: Symmetry) -> int:
-    """Optimise from ``incumbent`` with the root's branches taken over the
-    symmetry's orbits and each branch's node carrying its stabiliser.
-
-    u is the vertex whose cover row meets the fewest orbits (least index on
-    ties).  Every set in the search meets u's cover row, so it meets the
-    orbits O_1, O_2, ... that the row meets, each represented by its first
-    vertex r_i of the row in the kernel's candidate order.  Branch i
-    searches the sets that contain r_i and avoid O_1 ... O_{i-1}, and the
-    incumbent carries across branches.  An incumbent that meets the
-    counting bound on all n vertices is minimum, and no branch runs, as the
-    unrooted kernel prunes at its root.  The stabiliser of r_i is asked for
-    only when branch i's node branches, and ``_read_symmetry`` checks it,
-    which keeps O_1 ... O_{i-1} invariant as ``_search_kernel`` needs.
-    """
-    n = g.n
-    orbits = symmetry.orbits
-    orbit_of, stabiliser = _read_symmetry(n, symmetry)
-    cover, _, negdeg, (num, den) = tables
-    if incumbent.bit_count() <= (n * num + den - 1) // den:
-        return incumbent
-    meets = [0] * n  # meets[v]: the orbits that cover[v] meets
-    for orbit in orbits:
-        reach = 0  # cover rows are symmetric, so reach holds each v whose row meets the orbit
-        for w in _bits(orbit):
-            reach |= cover[w]
-        for v in _bits(reach):
-            meets[v] += 1
-    u = meets.index(min(meets))
-    root, excluded = [], 0
-    for r in sorted(_bits(cover[u]), key=negdeg.__getitem__):
-        orbit = orbits[orbit_of[r]]
-        if not orbit & excluded:  # r is its orbit's first vertex in the row
-            root.append((r, orbit))
-            excluded |= orbit
-    return _search_kernel(g, tables, incumbent=incumbent, root=root, stabiliser=stabiliser)
-
-
 def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> InvariantResult:
     """Fast exact solver; value always matches the oracle, witness validates.
 
@@ -569,27 +548,15 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     automorphisms of g: its orbits, disjoint vertex masks covering g, and
     the point stabilisers of a subgroup B of A (``graphs.product_symmetry``
     builds one for a product: A from each factor's shift, reversal and twin
-    swaps, B from its shift and reversal).  The root then branches over
-    orbits (``_orbit_root``): a minimum set S meets the cover row of the root
-    vertex u, so it meets some orbit O_i of the row; take the first such i
-    and an automorphism in A that maps a vertex of S in O_i onto r_i.  The
-    image of S is minimum, contains r_i, and avoids O_1 ... O_{i-1} because
-    they are A-invariant, so branch i reaches a set of the same size.
-    Below branch i the same argument runs one level down
-    (``_search_kernel``): the stabiliser of r_i in B fixes the chosen set
-    and leaves the excluded set invariant, so it maps any minimum set of a
-    node's region onto one inside the branch of the first of its orbits
-    that set meets, and each child carries the elements that also fix its
-    own vertex.  This keeps the value only: the witness may be another
-    minimum set than the one the unrooted search returns, so the kernel's
-    label-dependent searches (lexleast probes, the enumeration) take no
-    symmetry; lexleast reads one only between probes, to bar the orbits of
-    failed ones.  Singleton orbits and empty stabilisers give the
-    unrooted search's branches and witness.  Orbits that do not partition
-    the vertices raise ``ValueError``; a stabiliser element that moves its
-    point or an orbit raises ``AssertionError``, as does, in
-    ``product_symmetry``, one built from a permutation that is not a
-    factor automorphism.  The symmetry is ignored for rho.
+    swaps, B from its shift and reversal).  The search then branches over
+    A's orbits at the root and over stabilisers' orbits below it
+    (``_search_kernel``), which keeps the value (``_Group``).  The witness
+    may be another minimum set than the plain search's; singleton orbits
+    and empty stabilisers give the plain search's witness.  Orbits that do
+    not partition the vertices raise ``ValueError``; a stabiliser element
+    that moves its point or an orbit raises ``AssertionError``, as does, in
+    ``product_symmetry``, one built from a permutation that is not a factor
+    automorphism.  The symmetry is ignored for rho.
     """
     _check_kind(kind)
     if kind == "rho":
@@ -598,11 +565,8 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     else:
         _check_isolate_free(g)
         tables = _kernel_tables(g, kind)
-        incumbent = _greedy_domination(g, tables)
-        if symmetry is None:
-            mask = _search_kernel(g, tables, incumbent=incumbent)
-        else:
-            mask = _orbit_root(g, tables, incumbent, symmetry)
+        group = None if symmetry is None else _Group.of(g.n, symmetry)
+        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables), group=group)
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")

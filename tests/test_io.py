@@ -113,6 +113,17 @@ def test_json_spec_errors(tmp_path):
         load_spec_json(spec_path)
 
 
+def test_json_spec_rejects_an_empty_random_range(tmp_path):
+    # as a named family does, not by resolving the entry to no graphs
+    spec_path = tmp_path / "spec.json"
+    for family in ("random", "path"):
+        entry = {"family": family, "n_min": 6, "n_max": 4, "p": 0.5, "seed": 1}
+        spec = {"left": [entry, {"family": "path", "n": 3}], "right": [{"family": "path", "n": 2}]}
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(FamilySpecError, match="empty range 6-4"):
+            load_spec_json(spec_path)
+
+
 def test_jsonl_round_trip(tmp_path):
     summary = run_scan("paths:2-3 x cycles:3-4")
     path = tmp_path / "run.jsonl"

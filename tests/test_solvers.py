@@ -285,6 +285,20 @@ def test_lexleast_rejects_invalid_starting_set():
         lexleast_min_semitotal_set(generate("path", 4), minimum=vs(4, 0, 1))
 
 
+def test_lexleast_rejects_a_starting_set_of_another_order():
+    # {1, 2, 3, 4} on nine vertices reads as a semi-total dominating set of
+    # P6 by its mask alone
+    with pytest.raises(ValueError, match="different graph order"):
+        lexleast_min_semitotal_set(generate("path", 6), minimum=vs(9, 1, 2, 3, 4))
+
+
+def test_lexleast_trusts_the_minimality_of_its_starting_set():
+    # a start above gamma_t2(P6) = 3 gives the least set of its own size
+    g = generate("path", 6)
+    assert lexleast_min_semitotal_set(g).vertices() == (0, 2, 4)
+    assert lexleast_min_semitotal_set(g, minimum=vs(6, 1, 2, 3, 4)).vertices() == (0, 1, 2, 4)
+
+
 # Lexleast sets beyond the oracle's limit, pinned so that a solver change
 # cannot move them unnoticed.  They reach scan records through
 # bound_violation findings.
@@ -600,14 +614,19 @@ def test_lexleast_search_node_ceiling(left, right, symmetric, ceiling):
         (("path", 7), ("cycle", 7), 5_062),
         (("cycle", 7), ("path", 7), 2_522),
         (("cycle", 7), ("cycle", 7), 7_259),
+        (("g6", "IG_O??Bo_"), ("path", 3), 705),
     ],
 )
 def test_product_solve_search_node_ceiling(left, right, ceiling):
     # deterministic performance guard for orbital branching: these visit
-    # 12,188, 5,042, 2,502 and 7,239 nodes; with orbits at the root only
-    # 12,188, 5,744, 3,803 and 31,810 (a product of paths has almost no
-    # symmetry below the root); unrooted 28,118, 13,194, 13,433 and 111,379
-    prod = cartesian_product(generate(*left), generate(*right))
+    # 12,189, 5,043, 2,503, 7,240 and 686 nodes; with orbits at the root
+    # only 12,188, 5,744, 3,803 and 31,810 (a product of paths has almost
+    # no symmetry below the root); unrooted 28,118, 13,194, 13,433 and
+    # 111,379.  The root branches on the cover row that meets the fewest
+    # orbits: on the 10-vertex random factor x P3, the row with the fewest
+    # candidates would take 1,261 nodes
+    factors = [parse_graph6(f[1]) if f[0] == "g6" else generate(*f) for f in (left, right)]
+    prod = cartesian_product(*factors)
     symmetry = product_symmetry(prod)
     assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=symmetry) <= ceiling
 
