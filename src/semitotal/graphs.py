@@ -15,7 +15,7 @@ carry the ``INF`` sentinel.
 
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -429,7 +429,7 @@ class Symmetry:
     vertex's orbit."""
 
     orbits: tuple[int, ...]
-    stabiliser: Callable[[int], list[tuple[int, ...]]]
+    stabiliser: Callable[[int], Sequence[tuple[int, ...]]]
 
 
 def product_symmetry(prod: ProductGraph) -> Symmetry:
@@ -449,8 +449,10 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
     checked against its factor's adjacency, once, with a raise; that costs
     the factor's edges, not the product's.  The orbits and the stabilisers
     share one shift and reversal test per factor; each stabiliser is built
-    by its own call from the few factor permutations that fix or swap its
-    coordinates, so a solve pays only for the root branches it searches.
+    by its first call from the few factor permutations that fix or swap its
+    coordinates, so a solve pays only for the root branches it searches,
+    and kept as a tuple for the symmetry's later calls: ``verify_pair``
+    hands one symmetry to the product solve and to lexleast.
     """
     g, h = prod.left, prod.right
     same = g == h
@@ -479,7 +481,11 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
                 raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
             checked.add((perm, side))
 
-    def stabiliser(r: int) -> list[tuple[int, ...]]:
+    built: dict[int, tuple[tuple[int, ...], ...]] = {}  # r -> its stabiliser
+
+    def stabiliser(r: int) -> tuple[tuple[int, ...], ...]:
+        if r in built:
+            return built[r]
         a, b = prod.decode(r)
         # (phi, psi) maps (x, y) to (phi[x], psi[y]); the maps of a to a
         # list the identity first, so the first pair is the identity
@@ -490,7 +496,9 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
             check(phi, 0)
             check(psi, 1)
         perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing]
-        return perms + [tuple([y * n_h + x for x in phi for y in psi]) for phi, psi in swapping]
+        perms += [tuple([y * n_h + x for x in phi for y in psi]) for phi, psi in swapping]
+        built[r] = perms = tuple(perms)
+        return perms
 
     return Symmetry(orbits, stabiliser)
 

@@ -22,6 +22,7 @@ of each failed probe between its probes; ``_Group`` holds the group and the
 argument that both keep the value.  The packing number has its own search.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -169,20 +170,24 @@ def enumerate_min_semitotal_sets(g: Graph, *, gamma_t2: int | None = None) -> li
 def _kernel_tables(g: Graph, kind: str) -> tuple:
     """Per-graph tables of the search kernel, built once per solver call:
     cover rows, the partner masks ``g.partners`` (gamma_t2 only), negated
-    degrees (the branching order) and the counting bound's ratio (num, den):
-    each member still to add covers at most den/num uncovered vertices on
-    average (see ``_search_kernel``)."""
+    degrees, the counting bound's ratio (num, den): each member still to add
+    covers at most den/num uncovered vertices on average (see
+    ``_search_kernel``), and the ranked rows ``cover_ranked`` and
+    ``partner_ranked``, whose entry u lists cover[u] or partners[u] by
+    degree descending, least index on ties.  The kernel fills an entry when
+    a node first branches on u, since a small solve reads few of them;
+    callers that share one tables (the lexleast probes) share the entries."""
     cover = g.adj if kind == "gamma_t" else g.closed
     partners = g.partners if kind == "gamma_t2" else None
     negdeg = [-g.degree(v) for v in range(g.n)]
     delta = -min(negdeg)
     ratio = {"gamma": (1, delta + 1), "gamma_t": (1, delta), "gamma_t2": (2, 2 * delta + 1)}
-    return cover, partners, negdeg, ratio[kind]
+    return cover, partners, negdeg, ratio[kind], [None] * g.n, [None] * g.n
 
 
 def _greedy_domination(g: Graph, tables: tuple) -> int:
     """Deterministic greedy upper bound used to seed the search incumbent."""
-    cover, partners, _, _ = tables
+    cover, partners = tables[:2]
     n = g.n
     full = (1 << n) - 1
     chosen = 0
@@ -215,24 +220,26 @@ def _greedy_domination(g: Graph, tables: tuple) -> int:
 class _Group:
     """A group K of automorphisms of a graph, in the two operations that
     orbital branching reads (Ostrowski, Linderoth, Rossi and Smriglio,
-    "Orbital branching", Math. Program. 126, 2011): ``orbit(v)``, v's orbit
-    under K as a vertex mask, and ``fix(v)``, the subgroup of K that fixes
-    v, or None when that is the identity alone.
+    "Orbital branching", Math. Program. 126, 2011): ``orbit(v)``, v's
+    orbit under K as a vertex mask, and ``fix(v)``, the subgroup fixing v.
 
     Two sources.  ``_Group.of(n, symmetry)`` reads a ``graphs.Symmetry``:
     K is its group A, whose orbits it lists, and ``fix(r)`` is the
-    stabiliser of r in its subgroup B, asked of the symmetry only when the
-    new group is first read.  ``_Group(elements)`` holds K's elements other
-    than the identity, as tuples p with p[v] the image of v, a whole group
-    but for the identity, so that v's images are its orbit (or ``build``,
-    which makes them on the first read); its ``fix(v)`` keeps those that
-    fix v.  Orbits that are not disjoint masks covering the vertices raise
-    ``ValueError``, and a stabiliser element that moves its point or one of
-    A's orbits raises ``AssertionError``, so that every union of A's orbits
-    stays invariant under the groups below.  That the elements preserve
-    adjacency is checked where they are built (``graphs.product_symmetry``
-    checks their factor permutations), at the factors' cost, not the
-    graph's.
+    stabiliser of r in its subgroup B.  That ``fix`` always returns a
+    ``_Group``, possibly one with no elements: it asks the symmetry for the
+    stabiliser, and checks what it gets, only when the new group is first
+    read, so a child pruned at its bound never pays for it.
+    ``_Group(elements)`` holds K's elements other than the identity, as
+    tuples p with p[v] the image of v, a whole group but for the identity,
+    so that v's images are its orbit (or ``build``, which makes them on the
+    first read); its ``fix(v)`` keeps those that fix v, or returns None
+    when it keeps none.  Orbits that are not disjoint masks covering the
+    vertices raise ``ValueError``, and a stabiliser element that moves its
+    point or one of A's orbits raises ``AssertionError``, so that every
+    union of A's orbits stays invariant under the groups below.  That the
+    elements preserve adjacency is checked where they are built
+    (``graphs.product_symmetry`` checks their factor permutations), at the
+    factors' cost, not the graph's.
 
     Why orbits keep the value.  Let R be the sets of one kind that contain
     a set C and avoid a set X, and let K fix C pointwise and map X onto
@@ -277,7 +284,7 @@ class _Group:
             for w in _bits(orbit):
                 orbits[w] = orbit
 
-        def stabiliser(r: int) -> list:
+        def stabiliser(r: int) -> Sequence[tuple[int, ...]]:
             perms = symmetry.stabiliser(r)
             for p in perms:
                 if p[r] != r or [orbits[w] for w in p] != orbits:
@@ -325,11 +332,18 @@ def _search_kernel(
     budgeted-feasible mode appends each set it reaches and searches on; at
     budget gamma_t2 these are exactly the minimum sets.
 
-    Branches on the uncovered vertex with the fewest candidate dominators,
-    candidates by degree descending.  Two lower bounds on the members still
-    needed: the number of uncovered vertices with pairwise disjoint candidate
-    sets, collected greedily in the scan that picks the branching vertex
-    (each needs its own member), and the counting bound
+    Branches on the uncovered vertex with the fewest candidate dominators
+    or, once all are covered, on the first lonely member (one with no
+    chosen partner), whose candidates are its partners.  A node walks that
+    vertex's ranked row (``_kernel_tables``) and skips each candidate set in
+    ``ex``, which starts as the node's excluded set and gains each tried
+    candidate or its orbit; so it tries the row less the excluded set, by
+    degree descending.  No candidate is chosen already: a lonely member has
+    no chosen partner, and rows are symmetric, so a chosen v, which covers
+    cover[v], lies in no uncovered vertex's row.  Two lower bounds on the
+    members still needed: the number of uncovered vertices with pairwise
+    disjoint candidate sets, collected greedily in the scan that picks the
+    branching vertex (each needs its own member), and the counting bound
     ceil(uncovered * num / den) with the table's (num, den).  For gamma a
     member covers at most max degree + 1 = den vertices, for gamma_t (open
     rows) at most max degree = den.
@@ -362,24 +376,26 @@ def _search_kernel(
     """
     n = g.n
     full = (1 << n) - 1
-    cover, partners, negdeg, (num, den) = tables
+    cover, partners, negdeg, (num, den), cover_ranked, partner_ranked = tables
     first = incumbent is None
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
 
-    def search(chosen: int, covered: int, excluded: int, size: int, group, row=0) -> bool:
+    def search(chosen: int, covered: int, excluded: int, size: int, group, row=-1) -> bool:
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
             bound = (uncovered.bit_count() * num + den - 1) // den
             if size + bound >= best_size:
                 return False
-            avail, branch_count, used, disjoint = 0, n + 1, 0, 0
+            keep = ~excluded
+            branch, branch_count, used, disjoint = -1, n + 1, 0, 0
             rest = uncovered
             while rest:  # _bits(uncovered) inlined: this is the hot loop
                 low = rest & -rest
                 rest ^= low
-                options = cover[low.bit_length() - 1] & ~excluded
+                u = low.bit_length() - 1
+                options = cover[u] & keep
                 if not options:
                     return False  # dead branch: an uncovered vertex has no candidate left
                 if not options & used:
@@ -387,17 +403,24 @@ def _search_kernel(
                     disjoint += 1
                 count = options.bit_count()
                 if count < branch_count:
-                    avail, branch_count = options, count
-            bound = max(bound, disjoint)
-            avail = row or avail
+                    branch, branch_count = u, count
+            if disjoint > bound:
+                bound = disjoint
+            if row >= 0:
+                branch = row
+            ranked, rows = cover_ranked, cover
         else:
-            lonely = -1
+            branch = -1
             if partners is not None:
-                for u in _bits(chosen):
+                rest = chosen
+                while rest:  # _bits(chosen) inlined, as above
+                    low = rest & -rest
+                    rest ^= low
+                    u = low.bit_length() - 1
                     if not chosen & partners[u]:
-                        lonely = u
+                        branch = u  # a lonely member: no chosen partner
                         break
-            if lonely < 0:
+            if branch < 0:
                 if size >= best_size:
                     return False
                 if collect is not None:
@@ -406,13 +429,16 @@ def _search_kernel(
                 best, best_size = chosen, size
                 return first
             bound = 1
-            avail = partners[lonely] & ~excluded & ~chosen
+            ranked, rows = partner_ranked, partners
         if size + bound >= best_size:
             return False
+        order = ranked[branch]
+        if order is None:
+            order = ranked[branch] = sorted(_bits(rows[branch]), key=negdeg.__getitem__)
         ex = excluded
-        for v in sorted(_bits(avail), key=negdeg.__getitem__):
+        for v in order:
             if ex >> v & 1:
-                continue  # in the orbit of an earlier candidate
+                continue  # excluded, or in the orbit of an earlier candidate
             child = None if group is None else group.fix(v)
             if search(chosen | 1 << v, covered | cover[v], ex, size + 1, child):
                 return True
@@ -424,7 +450,7 @@ def _search_kernel(
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    row = 0
+    row = -1
     if group is not None and covered0 != full:
         meets, seen = [0] * n, 0  # meets[v]: the orbits that cover[v] meets
         for w in range(n):
@@ -436,7 +462,7 @@ def _search_kernel(
                     reach |= cover[x]
                 for v in _bits(reach):
                     meets[v] += 1
-        row = cover[min(_bits(full & ~covered0), key=meets.__getitem__)] & ~excluded0
+        row = min(_bits(full & ~covered0), key=meets.__getitem__)
     search(chosen0, covered0, excluded0, chosen0.bit_count(), group, row)
     return best
 

@@ -118,6 +118,24 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
             assert [id(symmetry) for symmetry in handed] == [id(symmetry) for symmetry in given]
 
 
+def test_verify_pair_builds_each_stabiliser_once(monkeypatch):
+    # the product solve and the replay's lexleast both read stabilisers of
+    # the one symmetry; each is built on its first call and kept.  A build
+    # decodes its point, and nothing else in the package decodes one
+    from semitotal.graphs import ProductGraph
+
+    builds = Counter()
+    decode = ProductGraph.decode
+
+    def counting_decode(self, index):
+        builds[index] += 1
+        return decode(self, index)
+
+    monkeypatch.setattr(ProductGraph, "decode", counting_decode)
+    verify_pair(generate("cycle", 7), generate("path", 3), options(replay=True))
+    assert builds and set(builds.values()) == {1}, builds
+
+
 @pytest.mark.parametrize("replay", [False, True])
 def test_verify_pair_solves_the_product_once(monkeypatch, replay):
     # one solve_bnb on the product, in whichever module it is looked up, and

@@ -631,6 +631,28 @@ def test_product_solve_search_node_ceiling(left, right, ceiling):
     assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=symmetry) <= ceiling
 
 
+def test_candidate_order_is_pinned():
+    # a node tries its candidates by degree descending, least index on
+    # ties; these products lie above the oracle limit and have degree ties,
+    # so a tie broken another way moves a witness or a count.  The pins are
+    # equalities, not ceilings: update them, with the reason in CHANGES.md,
+    # only in a change that alters the order on purpose
+    witnesses = {
+        (("path", 7), ("path", 7)): (0x884412904422, 0x990099320132, 0x138844222522),
+        (("cycle", 7), ("path", 6)): (0x44448480B2, 0x32184C033, 0x8854068092),
+        (("g6", "IG_O??Bo_"), ("path", 3)): (0x2A412480, 0x12492492, 0x3A412480),
+    }
+    for factors, masks in witnesses.items():
+        prod = cartesian_product(*(parse_graph6(f[1]) if f[0] == "g6" else generate(*f) for f in factors))
+        for kind, mask in zip(("gamma", "gamma_t", "gamma_t2"), masks):
+            assert solve_bnb(prod.graph, kind).witness.mask == mask, (factors, kind)
+    prod = cartesian_product(parse_graph6("IG_O??Bo_"), generate("path", 3))
+    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=product_symmetry(prod)) == 686
+    prod = cartesian_product(generate("path", 12), generate("path", 3))
+    symmetry = product_symmetry(prod)
+    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 1_727
+
+
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
     monkeypatch.setattr(semitotal.solvers, "_search_kernel", lambda g, tables, **kw: 1)
     with pytest.raises(AssertionError, match="invalid gamma witness"):
