@@ -37,8 +37,10 @@ from .solvers import (
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
 # Products of this order or more are solved with their symmetry: orbits at
-# the root and stabiliser orbits below it; their lexleast set bars each
-# failed probe's orbit.  Smaller ones are solved without:
+# the root and stabiliser orbits below it.  Their lexleast probes search over
+# the orbits of the stabiliser of the locked set, which keeps each probe's
+# answer, and a failed probe bars its vertex's orbit, which keeps the set
+# (``solvers._Group``).  Smaller ones are solved without:
 # on up to 20 vertices the plain search costs about what the orbits do.
 ORBIT_ROOT_MIN_ORDER = 21
 

@@ -17,9 +17,11 @@ at most max degree, and a gamma_t2 member at most max degree + 1/2 on
 average, because members come with partners within distance 2 whose closed
 neighbourhoods meet theirs.  Given a group of automorphisms of the graph
 (``graphs.Symmetry``), ``solve_bnb`` branches over orbits, not vertices,
-at the root and below it, and ``lexleast_min_semitotal_set`` bars the orbit
-of each failed probe between its probes; ``_Group`` holds the group and the
-argument that both keep the value.  The packing number has its own search.
+at the root and below it; ``lexleast_min_semitotal_set`` searches each
+probe over the orbits of the group that fixes the probe's locked set, and
+bars the orbit of each failed probe.  ``_Group`` holds the group and the
+argument that orbits keep both the value and each probe's answer.  The
+packing number has its own search.
 """
 
 from collections.abc import Sequence
@@ -170,19 +172,21 @@ def enumerate_min_semitotal_sets(g: Graph, *, gamma_t2: int | None = None) -> li
 def _kernel_tables(g: Graph, kind: str) -> tuple:
     """Per-graph tables of the search kernel, built once per solver call:
     cover rows, the partner masks ``g.partners`` (gamma_t2 only), negated
-    degrees, the counting bound's ratio (num, den): each member still to add
-    covers at most den/num uncovered vertices on average (see
-    ``_search_kernel``), and the ranked rows ``cover_ranked`` and
-    ``partner_ranked``, whose entry u lists cover[u] or partners[u] by
-    degree descending, least index on ties.  The kernel fills an entry when
-    a node first branches on u, since a small solve reads few of them;
-    callers that share one tables (the lexleast probes) share the entries."""
+    degrees, the counting bound ``need``, whose entry c = 0..n is the
+    members still needed to cover c vertices (see ``_search_kernel``), and
+    the ranked rows ``cover_ranked`` and ``partner_ranked``, whose entry u
+    lists cover[u] or partners[u] by degree descending, least index on
+    ties.  The kernel fills an entry when a node first branches on u, since
+    a small solve reads few of them; callers that share one tables (the
+    lexleast probes) share the entries."""
     cover = g.adj if kind == "gamma_t" else g.closed
     partners = g.partners if kind == "gamma_t2" else None
     negdeg = [-g.degree(v) for v in range(g.n)]
     delta = -min(negdeg)
     ratio = {"gamma": (1, delta + 1), "gamma_t": (1, delta), "gamma_t2": (2, 2 * delta + 1)}
-    return cover, partners, negdeg, ratio[kind], [None] * g.n, [None] * g.n
+    num, den = ratio[kind]
+    need = [(c * num + den - 1) // den for c in range(g.n + 1)]
+    return cover, partners, negdeg, need, [None] * g.n, [None] * g.n
 
 
 def _greedy_domination(g: Graph, tables: tuple) -> int:
@@ -253,7 +257,10 @@ class _Group:
       for k in K with k(w) = v_j, k(S) is a minimum set of R that contains
       v_j and avoids O_1 ... O_{j-1}, which are K-invariant, so child j
       holds it.  The child carries ``fix(v_j)``, which fixes C and v_j and
-      keeps X and each O_i, so the argument runs on down the tree.
+      keeps X and each O_i, so the argument runs on down the tree.  The
+      same holds for existence: a set S of R within a budget meets a first
+      O_j, and k(S), of the same size, lies in child j; so a budgeted
+      search over orbits finds a set exactly when the plain search does.
     - Barring (``lexleast_min_semitotal_set``).  When no minimum set of R
       contains v, none contains k(v), since k's inverse would map it to
       one that contains v; so v's whole orbit can join X, which keeps R's
@@ -261,9 +268,10 @@ class _Group:
 
     At the root C and X are empty and K = A; below it each group is a
     stabiliser in B, whose checked elements keep A's orbits.  Either use
-    keeps the minimum, not the witness: a group moves the search to other
-    sets, so label-dependent searches (lexleast probes, the enumeration)
-    take none.
+    keeps the minimum and whether a set within budget exists, not the
+    witness: a group moves the search to other sets.  So lexleast, which
+    reads only its probes' answers, gives them groups, and the
+    enumeration, which must reach every set, takes none.
     """
 
     __slots__ = ("_elements", "_build", "_orbits", "_stabiliser")
@@ -341,22 +349,27 @@ def _search_kernel(
     degree descending.  No candidate is chosen already: a lonely member has
     no chosen partner, and rows are symmetric, so a chosen v, which covers
     cover[v], lies in no uncovered vertex's row.  Two lower bounds on the
-    members still needed: the number of uncovered vertices with pairwise
+    members still needed: the counting bound ``need[|U|]`` on the |U|
+    uncovered vertices, and the number of uncovered vertices with pairwise
     disjoint candidate sets, collected greedily in the scan that picks the
-    branching vertex (each needs its own member), and the counting bound
-    ceil(uncovered * num / den) with the table's (num, den).  For gamma a
-    member covers at most max degree + 1 = den vertices, for gamma_t (open
-    rows) at most max degree = den.
+    branching vertex (each needs its own member).  The scan returns as soon
+    as that number leaves no room under the incumbent or the budget.  A
+    vertex with no candidate left counts as disjoint; a scan that goes on
+    past it branches on it (no count is lower), with no child, but the
+    root's override row (below) would hide it, so the root returns.
 
-    For gamma_t2, (num, den) = (2, 2 max degree + 1).  Let F be the members
-    still to add, U the uncovered vertices and D the max degree.  Give each f
-    in F a partner p(f) within distance 2, so N[f] and N[p(f)] meet.  Add F
-    in BFS order over the partner graph, starting from the chosen members.
-    An f whose partner is already present shares a vertex with a closed
-    neighbourhood that is covered or already counted, so it adds at most D
-    vertices of U.  Only the first vertex of a component of F alone can add
-    D + 1, and each such component has at least two members, so
-    |U| <= D|F| + |F|/2, that is |F| >= 2|U| / (2D + 1).
+    ``need[c]`` is ceil(c * num / den).  For gamma (num, den) is
+    (1, max degree + 1), since a member covers at most den vertices, and
+    for gamma_t (open rows) (1, max degree).  For gamma_t2 it is
+    (2, 2 max degree + 1).  Let F be the members still to add, U the
+    uncovered vertices and D the max degree.  Give each f in F a partner
+    p(f) within distance 2, so N[f] and N[p(f)] meet.  Add F in BFS order
+    over the partner graph, starting from the chosen members.  An f whose
+    partner is already present shares a vertex with a closed neighbourhood
+    that is covered or already counted, so it adds at most D vertices of U.
+    Only the first vertex of a component of F alone can add D + 1, and each
+    such component has at least two members, so |U| <= D|F| + |F|/2, that
+    is |F| >= 2|U| / (2D + 1).
 
     The bounds only prune and never reorder the search, so the incumbent
     sequence, the first feasible leaf and the collected sets do not depend
@@ -370,13 +383,14 @@ def _search_kernel(
     uncovered vertex whose row meets the fewest orbits (least index on
     ties), not the row with the fewest candidates: each orbit it meets is
     one root branch, and the fewest-candidates row takes 1,261 calls in
-    place of 686 on one 10-vertex random factor x P3.  This keeps the
-    minimum, not the witness (see ``_Group``), so only optimise mode takes
-    a group.
+    place of 686 on one 10-vertex random factor x P3.  A group keeps the
+    minimum in optimise mode and the answer in budgeted-feasible mode, not
+    the witness (see ``_Group``), so both take one; ``collect``, which must
+    reach every set, takes none.
     """
     n = g.n
     full = (1 << n) - 1
-    cover, partners, negdeg, (num, den), cover_ranked, partner_ranked = tables
+    cover, partners, negdeg, need, cover_ranked, partner_ranked = tables
     first = incumbent is None
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
@@ -385,8 +399,9 @@ def _search_kernel(
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
-            bound = (uncovered.bit_count() * num + den - 1) // den
-            if size + bound >= best_size:
+            room = best_size - size  # members this node may still add, plus one
+            bound = need[uncovered.bit_count()]
+            if bound >= room:
                 return False
             keep = ~excluded
             branch, branch_count, used, disjoint = -1, n + 1, 0, 0
@@ -396,17 +411,19 @@ def _search_kernel(
                 rest ^= low
                 u = low.bit_length() - 1
                 options = cover[u] & keep
-                if not options:
-                    return False  # dead branch: an uncovered vertex has no candidate left
-                if not options & used:
+                if not options & used:  # also a vertex with no candidate left
                     used |= options
                     disjoint += 1
+                    if disjoint >= room:
+                        return False
                 count = options.bit_count()
                 if count < branch_count:
                     branch, branch_count = u, count
             if disjoint > bound:
                 bound = disjoint
             if row >= 0:
+                if not branch_count:
+                    return False  # the root's row would hide a vertex with no candidate
                 branch = row
             ranked, rows = cover_ranked, cover
         else:
@@ -429,9 +446,9 @@ def _search_kernel(
                 best, best_size = chosen, size
                 return first
             bound = 1
+            if size + bound >= best_size:
+                return False
             ranked, rows = partner_ranked, partners
-        if size + bound >= best_size:
-            return False
         order = ranked[branch]
         if order is None:
             order = ranked[branch] = sorted(_bits(rows[branch]), key=negdeg.__getitem__)
@@ -500,8 +517,13 @@ def lexleast_min_semitotal_set(
     then ``fix`` of each locked vertex in turn, so that K fixes C.  Every
     union of orbits of K is one of each group below it, so K keeps
     ``barred``, and barring an orbit keeps F (``_Group``, barring); a lock
-    only shrinks F and K.  The probes take no group: their witnesses may
-    differ from the plain scan's, the set does not.
+    only shrinks F and K.  The probe for v searches with K's subgroup
+    ``fix(v)``, which fixes C and v and keeps ``barred``, a union of orbits
+    of K and so of it: that is the setting of ``_Group``'s argument, so
+    the probe finds a set within budget exactly when the plain search
+    does.  Its witness may differ from the plain search's; that changes
+    which later probes the witness answers without a search, not any
+    probe's answer, and so not the set.
     """
     _check_isolate_free(g)
     if minimum is None:
@@ -518,16 +540,18 @@ def lexleast_min_semitotal_set(
             if barred >> v & 1:
                 continue
             probe = chosen | 1 << v
+            fixed = None if group is None else group.fix(v)
             if witness & ((1 << (v + 1)) - 1) != probe:
-                found = _search_kernel(g, tables, budget=value, chosen0=probe, excluded0=barred)
+                found = _search_kernel(
+                    g, tables, budget=value, chosen0=probe, excluded0=barred, group=fixed
+                )
                 if found is None:
                     barred |= 1 << v if group is None else group.orbit(v)
                     continue
                 witness = found
             chosen = probe
             floor = v + 1
-            if group is not None:
-                group = group.fix(v)
+            group = fixed
             break
         else:
             raise AssertionError("lexicographic extension must exist at the optimum size")

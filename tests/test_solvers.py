@@ -31,7 +31,7 @@ from semitotal import (
 )
 from semitotal.graphs import Symmetry
 from semitotal.solvers import _PREDICATES as MASK_PREDICATES
-from semitotal.solvers import _kernel_tables, _search_kernel
+from semitotal.solvers import _Group, _kernel_tables, _search_kernel
 
 PREDICATES = {
     "gamma": is_dominating,
@@ -391,6 +391,18 @@ def test_kernel_budget_is_tight(g, data):
         assert probe(m - 1) is None, kind
 
 
+def test_root_with_a_group_stops_at_a_vertex_with_no_candidate():
+    # with a group the root branches on the row that meets the fewest
+    # orbits, here vertex 0's on P5 under the trivial group, so the root
+    # itself must end the search when another uncovered vertex has no
+    # candidate left: vertex 2, whose closed neighbourhood is excluded
+    g = generate("path", 5)
+    tables = _kernel_tables(g, "gamma_t2")
+    kwargs = dict(budget=5, excluded0=0b01110, group=_Group([]))
+    assert _search_kernel(g, tables, **kwargs) is None
+    assert _search_calls(_search_kernel, g, tables, **kwargs) == 1
+
+
 def _family_products(max_order):
     # K2 is P2 and K3 is C3, so the complete graphs start at K4
     factors = [("path", n) for n in range(2, 22)]
@@ -547,6 +559,40 @@ def test_lexleast_with_the_product_symmetry_gives_the_same_set():
         assert barred == lexleast_min_semitotal_set(prod.graph, minimum=minimum), (g.adj, h.adj)
 
 
+def test_lexleast_probe_with_a_group_answers_as_without(monkeypatch):
+    # each budgeted-feasible probe that searches over a stabiliser's orbits
+    # is run again without it: the two must agree on whether a set exists,
+    # and a set found is within budget and keeps the probe's constraints.
+    # Path and cycle products of 21 to 36 vertices, and random G on 10 to
+    # 12 vertices x P2, P3 and C3
+    nontrivial = 0  # probes whose group moves some vertex
+
+    def checked(g, tables, **kw):
+        nonlocal nontrivial
+        found = _search_kernel(g, tables, **kw)
+        group = kw.get("group")
+        if group is None or "incumbent" in kw:  # not a budgeted-feasible call with a group
+            return found
+        plain = _search_kernel(g, tables, **{**kw, "group": None})
+        assert (found is None) == (plain is None), (g.adj, kw["chosen0"], kw["excluded0"])
+        if found is not None:
+            assert found & kw["chosen0"] == kw["chosen0"] and not found & kw["excluded0"]
+            assert found.bit_count() <= kw["budget"] and MASK_PREDICATES["gamma_t2"](g, found)
+        nontrivial += any(group.orbit(w) != 1 << w for w in range(g.n))
+        return found
+
+    monkeypatch.setattr(semitotal.solvers, "_search_kernel", checked)
+    families = [a for a in _family_products(36) if a[0][0] != "complete" and a[1][0] != "complete"]
+    products = [(generate(*a), generate(*b)) for a, b in families if a[1] * b[1] >= 21]
+    rights = [generate("path", 2), generate("path", 3), generate("cycle", 3)]
+    lefts = [generate("random", 10 + seed % 3, p=0.3, seed=seed) for seed in range(40)]
+    products += [(g, h) for g in lefts if g.is_isolate_free() for h in rights]
+    for g, h in products:
+        prod = cartesian_product(g, h)
+        lexleast_min_semitotal_set(prod.graph, symmetry=product_symmetry(prod))
+    assert nontrivial >= 300
+
+
 def test_lexleast_with_a_forced_symmetry_matches_the_oracle():
     # below the order from which verify_pair passes the symmetry: every
     # path, cycle and complete product of at most 20 vertices, and catalog
@@ -599,9 +645,9 @@ def _search_calls(fn, *args, **kwargs):
 def test_lexleast_search_node_ceiling(left, right, symmetric, ceiling):
     # deterministic performance guard: node counts of the partner-aware
     # counting bound (the degree bound alone visits 9,786 and 15,495).
-    # With the product symmetry a failed probe bars its orbit: the last
-    # three visit 1,727, 1,821 and 3,057 nodes, and 2,257, 2,428 and 3,487
-    # without it
+    # With the product symmetry a failed probe bars its orbit and a probe
+    # searches over the stabiliser's orbits: the last three visit 1,715,
+    # 1,821 and 2,833 nodes, and 2,257, 2,428 and 3,487 without it
     prod = cartesian_product(generate(*left), generate(*right))
     symmetry = product_symmetry(prod) if symmetric else None
     assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) <= ceiling
@@ -650,7 +696,10 @@ def test_candidate_order_is_pinned():
     assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=product_symmetry(prod)) == 686
     prod = cartesian_product(generate("path", 12), generate("path", 3))
     symmetry = product_symmetry(prod)
-    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 1_727
+    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 1_715
+    prod = cartesian_product(parse_graph6("IG_O??Bo_"), generate("cycle", 3))
+    symmetry = product_symmetry(prod)
+    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 21_537
 
 
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
