@@ -36,13 +36,6 @@ from .solvers import (
 
 REPLAY_PRODUCT_CAP = 36
 NO_REPLAY_PRODUCT_CAP = 49
-# Products of this order or more are solved with their symmetry: orbits at
-# the root and stabiliser orbits below it.  Their lexleast probes search over
-# the orbits of the stabiliser of the locked set, which keeps each probe's
-# answer, and a failed probe bars its vertex's orbit, which keeps the set
-# (``solvers._Group``).  Smaller ones are solved without:
-# on up to 20 vertices the plain search costs about what the orbits do.
-ORBIT_ROOT_MIN_ORDER = 21
 
 HUNT_CLOSEST = 10
 
@@ -219,7 +212,7 @@ def verify_pair(
 
     t = clock()
     prod = cartesian_product(g, h)
-    symmetry = product_symmetry(prod) if prod.graph.n >= ORBIT_ROOT_MIN_ORDER else None
+    symmetry = product_symmetry(prod)
     minimum = solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry).witness
     record.gamma_t2_prod = len(minimum)
     record.bound_thm1 = record.rho_g * record.gamma_t2_h

@@ -49,6 +49,13 @@ def _generated(ident: str, name: str, n: int, **params) -> tuple[str, str]:
     return ident, emit_graph6(graph)
 
 
+def _graph6_entry(text: str) -> tuple[str, str]:
+    """(``g6:<graph6>``, graph6) of a graph given as graph6 text, re-emitted
+    so that the same graph always gets the same id."""
+    graph6 = emit_graph6(parse_graph6(text))
+    return f"g6:{graph6}", graph6
+
+
 def _orders(name: str, lo: int, hi: int) -> range:
     if hi < lo:
         raise FamilySpecError(f"empty range {lo}-{hi} for family {name}")
@@ -65,9 +72,7 @@ def parse_factor_token(token: str) -> list[tuple[str, str]]:
     if not token:
         raise FamilySpecError("empty factor token")
     if token.startswith("g6:"):
-        text = token[3:]
-        graph = parse_graph6(text)
-        return [(f"g6:{emit_graph6(graph)}", emit_graph6(graph))]
+        return [_graph6_entry(token[3:])]
     if ":" not in token:
         raise FamilySpecError(f"factor token {token!r} needs name:range")
     name, _, spec = token.partition(":")
@@ -122,8 +127,7 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
             for i, ln in enumerate(lines)
         ]
     if "graph6" in entry:
-        graph6 = emit_graph6(parse_graph6(entry["graph6"]))
-        return [(f"g6:{graph6}", graph6)]
+        return [_graph6_entry(entry["graph6"])]
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
     name = str(entry["family"]).lower()
@@ -222,12 +226,7 @@ CSV_COLUMNS = (
     "bound_thm2",
     "ratio_num",
     "ratio_den",
-    "replay_pi_valid",
-    "replay_claim1",
-    "replay_claim2",
-    "replay_eq1",
-    "replay_eq2",
-    "replay_eq3",
+    *(f"replay_{c}" for c in REPLAY_CHECKS),
 )
 
 

@@ -495,7 +495,8 @@ def lexleast_min_semitotal_set(
     current witness already answers is not searched.  The first witness is
     ``minimum``, a minimum semi-total dominating set the caller has solved
     for (``verify_pair`` passes its product solve's witness), or else the
-    witness of ``solve_bnb(g, "gamma_t2")``; the set does not depend on which.
+    witness of ``solve_bnb(g, "gamma_t2", symmetry=symmetry)``; the set does
+    not depend on which.
 
     ``minimum`` must be bound to g (``ValueError`` otherwise) and
     semi-total dominating (``AssertionError`` otherwise); that it is
@@ -527,7 +528,7 @@ def lexleast_min_semitotal_set(
     """
     _check_isolate_free(g)
     if minimum is None:
-        minimum = solve_bnb(g, "gamma_t2").witness
+        minimum = solve_bnb(g, "gamma_t2", symmetry=symmetry).witness
     elif not _semitotal_dominating_mask(g, _check_set(g, minimum)):
         raise AssertionError(f"starting set {minimum.mask:#x} is not semi-total dominating")
     witness = minimum.mask

@@ -85,16 +85,15 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
         (("cycle", 7), ("complete", 3)),
         (("cycle", 7), ("path", 3)),
         (("cycle", 5), ("path", 4)),
+        (("path", 2), ("path", 2)),
     ]
     given, handed = [], []
     solve = semitotal.harness.solve_bnb
     lexleast = semitotal.harness.lexleast_min_semitotal_set
 
     def spy_solve(g, kind, **kw):
-        if g.n > 7:  # the product, not a factor
-            given.append(kw.get("symmetry"))
-        else:
-            assert "symmetry" not in kw
+        if "symmetry" in kw:  # the product solve; a factor's would show in seen
+            given.append(kw["symmetry"])
         return solve(g, kind, **kw)
 
     def spy_lexleast(g, **kw):
@@ -109,11 +108,17 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
         for left, right in pairs:
             verify_pair(generate(*left), generate(*right), options(replay=replay))
         # C7 x K3 is vertex-transitive; C7 x P3 has two orbits, the vertices
-        # over P3's ends and those over its middle; C5 x P4 has 20 vertices,
-        # below ORBIT_ROOT_MIN_ORDER
+        # over P3's ends and those over its middle; C5 x P4 has two, the
+        # columns over P4's ends and over its middle; P2 x P2 is one orbit
         middle = sum(1 << (3 * g + 1) for g in range(7))
-        seen = [symmetry and symmetry.orbits for symmetry in given]
-        assert seen == [((1 << 21) - 1,), ((1 << 21) - 1 & ~middle, middle), None], replay
+        middles = sum(0b0110 << (4 * g) for g in range(5))
+        seen = [symmetry.orbits for symmetry in given]
+        assert seen == [
+            ((1 << 21) - 1,),
+            ((1 << 21) - 1 & ~middle, middle),
+            ((1 << 20) - 1 & ~middles, middles),
+            (0b1111,),
+        ], replay
         if replay:  # the replay's lexleast reads the product solve's own symmetry
             assert [id(symmetry) for symmetry in handed] == [id(symmetry) for symmetry in given]
 

@@ -156,7 +156,25 @@ def test_csv_columns_fixed(tmp_path):
     write_csv(path, summary.records)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == list(CSV_COLUMNS) == [
+        "id",
+        "n_G",
+        "n_H",
+        "gamma_t2_G",
+        "gamma_t2_H",
+        "rho_G",
+        "gamma_t2_prod",
+        "bound_thm1",
+        "bound_thm2",
+        "ratio_num",
+        "ratio_den",
+        "replay_pi_valid",
+        "replay_claim1",
+        "replay_claim2",
+        "replay_eq1",
+        "replay_eq2",
+        "replay_eq3",
+    ]
     assert len(rows) == 1 + summary.total
     by_col = dict(zip(rows[0], rows[1]))
     assert by_col["gamma_t2_G"] == "2"
