@@ -6,9 +6,10 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
 ``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
-product that the product solve reads (``product_symmetry``): orbits of the
-group A that each factor's shift, reversal and twin swaps generate, and
-point stabilisers in its subgroup B that the shift and reversal generate.
+product that the searches read (``product_symmetry``, a checked
+``Symmetry``): orbits of the group A that each factor's shift, reversal and
+twin swaps generate, and point stabilisers in its subgroup B that the shift
+and reversal generate.
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
@@ -16,7 +17,6 @@ carry the ``INF`` sentinel.
 import math
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 
 INF = math.inf
@@ -159,6 +159,9 @@ class Graph:
 
     def dist(self, u: int, v: int):
         """Hop distance between u and v (``INF`` when disconnected), by BFS."""
+        for w in (u, v):
+            if not 0 <= w < self.n:
+                raise ValueError(f"vertex {w} outside 0..{self.n - 1}")
         return _bfs_distances(self.adj, self.n, u)[v]
 
     def degree(self, v: int) -> int:
@@ -418,18 +421,80 @@ def _factor_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ...]:
     return tuple(orbits.values())
 
 
-@dataclass(frozen=True)
 class Symmetry:
-    """A group A of automorphisms of a graph, in the two forms the product
-    solve reads.  ``orbits`` holds A's orbits as disjoint vertex masks that
-    cover the graph.  ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]``
-    the image of v, every element other than the identity that fixes r of
-    one subgroup B of A: the stabiliser of r in B, a whole group but for
-    the identity it leaves out, so that its images of a vertex are that
-    vertex's orbit."""
+    """A group A of automorphisms of a graph, checked once, as the searches
+    read it (``solvers`` says why orbits keep the value): ``orbit(v)``, v's
+    orbit under A as a vertex mask, and ``fix(r)``, the stabiliser of r in
+    a subgroup B of A as a ``PermGroup``, even of the identity alone (a
+    lexleast probe given a group picks its root's row by orbits).
 
-    orbits: tuple[int, ...]
-    stabiliser: Callable[[int], Sequence[tuple[int, ...]]]
+    ``orbits`` holds A's orbits as disjoint vertex masks that cover 0..n-1,
+    which the constructor checks (``ValueError``), setting ``n``.
+    ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the image of v,
+    every element but the identity of the stabiliser of r in B, so that its
+    images of a vertex are that vertex's orbit.  It calls the given builder
+    once per r and checks each element once (``AssertionError``): it must
+    fix r and keep every orbit of A, so that every union of A's orbits
+    stays invariant under the groups below.  That the elements preserve
+    adjacency is checked where they are built (``product_symmetry`` checks
+    their factor permutations), at the factors' cost, not the graph's.
+    """
+
+    __slots__ = ("orbits", "n", "_orbit_of", "_build", "_built")
+
+    def __init__(self, orbits: Iterable[int], stabiliser: Callable[[int], Sequence[tuple]]):
+        self.orbits = orbits = tuple(orbits)
+        union = 0
+        for orbit in orbits:
+            union |= orbit
+        self.n = n = union.bit_length()
+        if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
+            raise ValueError("orbits must be disjoint vertex masks that cover 0..n-1")
+        self._orbit_of = [0] * n
+        for orbit in orbits:
+            for w in _bits(orbit):
+                self._orbit_of[w] = orbit
+        self._build = stabiliser
+        self._built: dict[int, tuple[tuple[int, ...], ...]] = {}  # r -> its checked stabiliser
+
+    def orbit(self, v: int) -> int:
+        return self._orbit_of[v]
+
+    def stabiliser(self, r: int) -> tuple[tuple[int, ...], ...]:
+        perms = self._built.get(r)
+        if perms is None:
+            perms = tuple(self._build(r))
+            orbit_of = self._orbit_of
+            for p in perms:
+                if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
+                    raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
+            self._built[r] = perms
+        return perms
+
+    def fix(self, r: int) -> "PermGroup":
+        return PermGroup(self.stabiliser(r))
+
+
+class PermGroup:
+    """A group given by its elements other than the identity, as tuples p
+    with p[v] the image of v, a whole group but for the identity, so that
+    v's images are its orbit: ``orbit(v)`` as a vertex mask, and
+    ``fix(v)``, the elements that fix v, or None when none does."""
+
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: Sequence[tuple[int, ...]]):
+        self.elements = elements
+
+    def orbit(self, v: int) -> int:
+        mask = 1 << v
+        for p in self.elements:
+            mask |= 1 << p[v]
+        return mask
+
+    def fix(self, v: int) -> "PermGroup | None":
+        kept = [p for p in self.elements if p[v] == v]
+        return PermGroup(kept) if kept else None
 
 
 def product_symmetry(prod: ProductGraph) -> Symmetry:
@@ -451,8 +516,8 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
     share one shift and reversal test per factor; each stabiliser is built
     by its first call from the few factor permutations that fix or swap its
     coordinates, so a solve pays only for the root branches it searches,
-    and kept as a tuple for the symmetry's later calls: ``verify_pair``
-    hands one symmetry to the product solve and to lexleast.
+    and ``Symmetry`` keeps it for later reads: ``verify_pair`` hands one
+    symmetry to the product solve and to lexleast.
     """
     g, h = prod.left, prod.right
     same = g == h
@@ -481,11 +546,7 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
                 raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
             checked.add((perm, side))
 
-    built: dict[int, tuple[tuple[int, ...], ...]] = {}  # r -> its stabiliser
-
-    def stabiliser(r: int) -> tuple[tuple[int, ...], ...]:
-        if r in built:
-            return built[r]
+    def stabiliser(r: int) -> list[tuple[int, ...]]:
         a, b = prod.decode(r)
         # (phi, psi) maps (x, y) to (phi[x], psi[y]); the maps of a to a
         # list the identity first, so the first pair is the identity
@@ -497,7 +558,6 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
             check(psi, 1)
         perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing]
         perms += [tuple([y * n_h + x for x in phi for y in psi]) for phi, psi in swapping]
-        built[r] = perms = tuple(perms)
         return perms
 
     return Symmetry(orbits, stabiliser)

@@ -19,16 +19,46 @@ neighbourhoods meet theirs.  Given a group of automorphisms of the graph
 (``graphs.Symmetry``), ``solve_bnb`` branches over orbits, not vertices,
 at the root and below it; ``lexleast_min_semitotal_set`` searches each
 probe over the orbits of the group that fixes the probe's locked set, and
-bars the orbit of each failed probe.  ``_Group`` holds the group and the
-argument that orbits keep both the value and each probe's answer.  The
-packing number has its own search.
+bars the orbit of each failed probe.  The packing number has its own
+search.
+
+Why orbits keep the value (orbital branching: Ostrowski, Linderoth, Rossi
+and Smriglio, "Orbital branching", Math. Program. 126, 2011).  A group K
+is read through ``orbit(v)``, v's orbit under K as a vertex mask, and
+``fix(v)``, the subgroup fixing v (``graphs.Symmetry`` and
+``graphs.PermGroup``).  Let R be the sets of one kind that contain a set C
+and avoid a set X, and let K fix C pointwise and map X onto itself; then
+every k in K maps R onto itself and keeps sizes.
+
+- Branching (``_search_kernel``).  Every set of R meets the node's
+  candidates, which it takes in order, skipping each in the orbit O_i of
+  an earlier candidate v_i, so every candidate lies in some O_j.  Child j
+  searches the sets of R that contain v_j and avoid O_1 ... O_{j-1}.  A
+  minimum set S of R meets a first O_j, at w say; for k in K with
+  k(w) = v_j, k(S) is a minimum set of R that contains v_j and avoids
+  O_1 ... O_{j-1}, which are K-invariant, so child j holds it.  The child
+  carries ``fix(v_j)``, which fixes C and v_j and keeps X and each O_i, so
+  the argument runs on down the tree.  The same holds for existence: a set
+  S of R within a budget meets a first O_j, and k(S), of the same size,
+  lies in child j; so a budgeted search over orbits finds a set exactly
+  when the plain search does.
+- Barring (``lexleast_min_semitotal_set``).  When no minimum set of R
+  contains v, none contains k(v), since k's inverse would map it to one
+  that contains v; so v's whole orbit can join X, which keeps R's minimum
+  sets and keeps X K-invariant.
+
+At the root C and X are empty and K = A, the symmetry's group; below it
+each group is a stabiliser in its subgroup B, whose checked elements keep
+A's orbits.  Either use keeps the minimum and whether a set within budget
+exists, not the witness: a group moves the search to other sets.  So
+lexleast, which reads only its probes' answers, gives them groups, and the
+enumeration, which must reach every set, takes none.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, Symmetry, VertexSet, _bits
+from .graphs import Graph, PermGroup, Symmetry, VertexSet, _bits
 
 KINDS = ("gamma", "gamma_t", "gamma_t2", "rho")
 
@@ -65,6 +95,11 @@ def _check_set(g: Graph, s: VertexSet) -> int:
     if s.n != g.n:
         raise ValueError("vertex set bound to a different graph order")
     return s.mask
+
+
+def _check_symmetry(g: Graph, symmetry: Symmetry | None) -> None:
+    if symmetry is not None and symmetry.n != g.n:
+        raise ValueError(f"symmetry's orbits cover {symmetry.n} vertices, the graph has {g.n}")
 
 
 def _dominating_mask(g: Graph, mask: int) -> bool:
@@ -221,105 +256,6 @@ def _greedy_domination(g: Graph, tables: tuple) -> int:
     return chosen
 
 
-class _Group:
-    """A group K of automorphisms of a graph, in the two operations that
-    orbital branching reads (Ostrowski, Linderoth, Rossi and Smriglio,
-    "Orbital branching", Math. Program. 126, 2011): ``orbit(v)``, v's
-    orbit under K as a vertex mask, and ``fix(v)``, the subgroup fixing v.
-
-    Two sources.  ``_Group.of(n, symmetry)`` reads a ``graphs.Symmetry``:
-    K is its group A, whose orbits it lists, and ``fix(r)`` is the
-    stabiliser of r in its subgroup B.  That ``fix`` always returns a
-    ``_Group``, possibly one with no elements: it asks the symmetry for the
-    stabiliser, and checks what it gets, only when the new group is first
-    read, so a child pruned at its bound never pays for it.
-    ``_Group(elements)`` holds K's elements other than the identity, as
-    tuples p with p[v] the image of v, a whole group but for the identity,
-    so that v's images are its orbit (or ``build``, which makes them on the
-    first read); its ``fix(v)`` keeps those that fix v, or returns None
-    when it keeps none.  Orbits that are not disjoint masks covering the
-    vertices raise ``ValueError``, and a stabiliser element that moves its
-    point or one of A's orbits raises ``AssertionError``, so that every
-    union of A's orbits stays invariant under the groups below.  That the
-    elements preserve adjacency is checked where they are built
-    (``graphs.product_symmetry`` checks their factor permutations), at the
-    factors' cost, not the graph's.
-
-    Why orbits keep the value.  Let R be the sets of one kind that contain
-    a set C and avoid a set X, and let K fix C pointwise and map X onto
-    itself; then every k in K maps R onto itself and keeps sizes.
-
-    - Branching (``_search_kernel``).  Every set of R meets the node's
-      candidates, which it takes in order, skipping each in the orbit O_i
-      of an earlier candidate v_i, so every candidate lies in some O_j.
-      Child j searches the sets of R that contain v_j and avoid
-      O_1 ... O_{j-1}.  A minimum set S of R meets a first O_j, at w say;
-      for k in K with k(w) = v_j, k(S) is a minimum set of R that contains
-      v_j and avoids O_1 ... O_{j-1}, which are K-invariant, so child j
-      holds it.  The child carries ``fix(v_j)``, which fixes C and v_j and
-      keeps X and each O_i, so the argument runs on down the tree.  The
-      same holds for existence: a set S of R within a budget meets a first
-      O_j, and k(S), of the same size, lies in child j; so a budgeted
-      search over orbits finds a set exactly when the plain search does.
-    - Barring (``lexleast_min_semitotal_set``).  When no minimum set of R
-      contains v, none contains k(v), since k's inverse would map it to
-      one that contains v; so v's whole orbit can join X, which keeps R's
-      minimum sets and keeps X K-invariant.
-
-    At the root C and X are empty and K = A; below it each group is a
-    stabiliser in B, whose checked elements keep A's orbits.  Either use
-    keeps the minimum and whether a set within budget exists, not the
-    witness: a group moves the search to other sets.  So lexleast, which
-    reads only its probes' answers, gives them groups, and the
-    enumeration, which must reach every set, takes none.
-    """
-
-    __slots__ = ("_elements", "_build", "_orbits", "_stabiliser")
-
-    def __init__(self, elements=None, build=None, orbits=None, stabiliser=None):
-        self._elements, self._build = elements, build
-        self._orbits, self._stabiliser = orbits, stabiliser  # a symmetry's A
-
-    @classmethod
-    def of(cls, n: int, symmetry: Symmetry) -> "_Group":
-        union = 0
-        for orbit in symmetry.orbits:
-            union |= orbit
-        if union != (1 << n) - 1 or sum(o.bit_count() for o in symmetry.orbits) != n:
-            raise ValueError("orbits must be disjoint vertex masks that cover the graph")
-        orbits = [0] * n
-        for orbit in symmetry.orbits:
-            for w in _bits(orbit):
-                orbits[w] = orbit
-
-        def stabiliser(r: int) -> Sequence[tuple[int, ...]]:
-            perms = symmetry.stabiliser(r)
-            for p in perms:
-                if p[r] != r or [orbits[w] for w in p] != orbits:
-                    raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
-            return perms
-
-        return cls(orbits=orbits, stabiliser=stabiliser)
-
-    def orbit(self, v: int) -> int:
-        if self._orbits is not None:
-            return self._orbits[v]
-        if self._elements is None:
-            self._elements = self._build()
-        mask = 1 << v
-        for p in self._elements:
-            mask |= 1 << p[v]
-        return mask
-
-    def fix(self, v: int) -> "_Group | None":
-        if self._stabiliser is not None:
-            return _Group(build=lambda: self._stabiliser(v))
-        if self._elements is None:
-            self._elements = self._build()
-        kept = [p for p in self._elements if p[v] == v]
-        return _Group(kept) if kept else None
-
-
 def _search_kernel(
     g: Graph,
     tables: tuple,
@@ -329,7 +265,7 @@ def _search_kernel(
     chosen0: int = 0,
     excluded0: int = 0,
     collect: list | None = None,
-    group: _Group | None = None,
+    group: Symmetry | PermGroup | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
@@ -375,18 +311,19 @@ def _search_kernel(
     sequence, the first feasible leaf and the collected sets do not depend
     on how strong they are.
 
-    ``group``, a ``_Group`` that fixes ``chosen0`` and keeps ``excluded0``,
-    is the root's; a node with a group takes one child per orbit of it
-    among its candidates, skips a candidate in the orbit of an earlier one,
-    and gives the child for v the group ``fix(v)``.  A node without one is
-    the trivial case.  The root then branches on the cover row of the
-    uncovered vertex whose row meets the fewest orbits (least index on
-    ties), not the row with the fewest candidates: each orbit it meets is
-    one root branch, and the fewest-candidates row takes 1,261 calls in
-    place of 686 on one 10-vertex random factor x P3.  A group keeps the
-    minimum in optimise mode and the answer in budgeted-feasible mode, not
-    the witness (see ``_Group``), so both take one; ``collect``, which must
-    reach every set, takes none.
+    ``group``, a ``graphs.Symmetry`` or ``graphs.PermGroup`` that fixes
+    ``chosen0`` and keeps ``excluded0``, is the root's; a node with a
+    group takes one child per orbit of it among its candidates, skips a
+    candidate in the orbit of an earlier one, and gives the child for v
+    the group ``fix(v)``.  A node without one is the trivial case.  The
+    root then branches on the cover row of the uncovered vertex whose row
+    meets the fewest orbits (least index on ties), not the row with the
+    fewest candidates: each orbit it meets is one root branch, and the
+    fewest-candidates row takes 1,261 calls in place of 686 on one
+    10-vertex random factor x P3.  A group keeps the minimum in optimise
+    mode and the answer in budgeted-feasible mode, not the witness (module
+    docstring), so both take one; ``collect``, which must reach every set,
+    takes none.
     """
     n = g.n
     full = (1 << n) - 1
@@ -514,18 +451,19 @@ def lexleast_min_semitotal_set(
     bars v alone, and ``barred`` is the plain scan's excluded set.
 
     With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
-    under the group K of the symmetry's ``_Group``: A while C is empty,
-    then ``fix`` of each locked vertex in turn, so that K fixes C.  Every
-    union of orbits of K is one of each group below it, so K keeps
-    ``barred``, and barring an orbit keeps F (``_Group``, barring); a lock
-    only shrinks F and K.  The probe for v searches with K's subgroup
-    ``fix(v)``, which fixes C and v and keeps ``barred``, a union of orbits
-    of K and so of it: that is the setting of ``_Group``'s argument, so
-    the probe finds a set within budget exactly when the plain search
-    does.  Its witness may differ from the plain search's; that changes
-    which later probes the witness answers without a search, not any
-    probe's answer, and so not the set.
+    under a group K: the symmetry's A while C is empty, then ``fix`` of
+    each locked vertex in turn, so that K fixes C.  Every union of orbits
+    of K is one of each group below it, so K keeps ``barred``, and barring
+    an orbit keeps F (module docstring, barring); a lock only shrinks F and
+    K.  The probe for v searches with K's subgroup ``fix(v)``, which fixes
+    C and v and keeps ``barred``, a union of orbits of K and so of it: that
+    is the setting of the branching argument, so the probe finds a set
+    within budget exactly when the plain search does.  Its witness may
+    differ from the plain search's; that changes which later probes the
+    witness answers without a search, not any probe's answer, and so not
+    the set.
     """
+    _check_symmetry(g, symmetry)
     _check_isolate_free(g)
     if minimum is None:
         minimum = solve_bnb(g, "gamma_t2", symmetry=symmetry).witness
@@ -534,7 +472,7 @@ def lexleast_min_semitotal_set(
     witness = minimum.mask
     value = witness.bit_count()
     tables = _kernel_tables(g, "gamma_t2")
-    group = None if symmetry is None else _Group.of(g.n, symmetry)
+    group = symmetry
     chosen = barred = floor = 0
     for _ in range(value):
         for v in range(floor, g.n):
@@ -601,23 +539,24 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     builds one for a product: A from each factor's shift, reversal and twin
     swaps, B from its shift and reversal).  The search then branches over
     A's orbits at the root and over stabilisers' orbits below it
-    (``_search_kernel``), which keeps the value (``_Group``).  The witness
-    may be another minimum set than the plain search's; singleton orbits
-    and empty stabilisers give the plain search's witness.  Orbits that do
-    not partition the vertices raise ``ValueError``; a stabiliser element
-    that moves its point or an orbit raises ``AssertionError``, as does, in
-    ``product_symmetry``, one built from a permutation that is not a factor
-    automorphism.  The symmetry is ignored for rho.
+    (``_search_kernel``), which keeps the value (module docstring).  The
+    witness may be another minimum set than the plain search's; singleton
+    orbits and empty stabilisers give the plain search's witness.  A
+    symmetry of another order than g's raises ``ValueError``, as do, in
+    ``Symmetry``, orbits that do not partition the vertices; a stabiliser
+    element that moves its point or an orbit raises ``AssertionError``, as
+    does, in ``product_symmetry``, one built from a permutation that is not
+    a factor automorphism.  The symmetry is ignored for rho.
     """
     _check_kind(kind)
+    _check_symmetry(g, symmetry)
     if kind == "rho":
         mask = _max_two_packing_bnb(g)
         valid = _two_packing_mask(g, mask)
     else:
         _check_isolate_free(g)
         tables = _kernel_tables(g, kind)
-        group = None if symmetry is None else _Group.of(g.n, symmetry)
-        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables), group=group)
+        mask = _search_kernel(g, tables, incumbent=_greedy_domination(g, tables), group=symmetry)
         valid = _PREDICATES[kind](g, mask)
     if not valid:
         raise AssertionError(f"branch and bound returned an invalid {kind} witness {mask:#x}")

@@ -95,6 +95,14 @@ def test_generate_unknown_family():
         generate("tree", 4)
 
 
+@pytest.mark.parametrize("u,v,bad", [(0, -1, -1), (0, 5, 5), (-1, 0, -1), (5, 0, 5)])
+def test_distance_rejects_a_vertex_outside_the_graph(u, v, bad):
+    # -1 used to read vertex 4's distance, 5 raised IndexError and a
+    # negative source a shift error
+    with pytest.raises(ValueError, match=f"vertex {bad} outside 0..4"):
+        generate("path", 5).dist(u, v)
+
+
 def test_disconnected_distance_is_inf():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     assert g.dist(0, 2) == INF

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from semitotal import (
 )
 from semitotal.graphs import Symmetry
 from semitotal.solvers import _PREDICATES as MASK_PREDICATES
-from semitotal.solvers import _Group, _kernel_tables, _search_kernel
+from semitotal.solvers import _kernel_tables, _search_kernel
 
 PREDICATES = {
     "gamma": is_dominating,
@@ -398,7 +400,7 @@ def test_root_with_a_group_stops_at_a_vertex_with_no_candidate():
     # candidate left: vertex 2, whose closed neighbourhood is excluded
     g = generate("path", 5)
     tables = _kernel_tables(g, "gamma_t2")
-    kwargs = dict(budget=5, excluded0=0b01110, group=_Group([]))
+    kwargs = dict(budget=5, excluded0=0b01110, group=_trivial_symmetry(5))
     assert _search_kernel(g, tables, **kwargs) is None
     assert _search_calls(_search_kernel, g, tables, **kwargs) == 1
 
@@ -606,10 +608,30 @@ def test_lexleast_with_a_forced_symmetry_matches_the_oracle():
 
 
 def test_orbit_root_rejects_orbits_that_do_not_partition():
+    # overlapping orbits fail in Symmetry, orbits of another order in the
+    # solve that reads them
     g = generate("cycle", 4)
     for orbits in [(0b0111,), (0b0111, 0b1100), (0b0011, 0b1100, 0b10000)]:
-        with pytest.raises(ValueError, match="orbits"):
-            solve_bnb(g, "gamma_t2", symmetry=Symmetry(orbits, lambda r: []))
+        for solve in (partial(solve_bnb, g, "gamma_t2"), partial(lexleast_min_semitotal_set, g)):
+            with pytest.raises(ValueError, match="orbits"):
+                solve(symmetry=Symmetry(orbits, lambda r: []))
+
+
+def test_one_symmetry_builds_each_stabiliser_once():
+    # the product solve and then lexleast from its witness read one
+    # symmetry, which calls its builder once per point and keeps the result
+    prod = cartesian_product(generate("cycle", 7), generate("path", 3))
+    builder = product_symmetry(prod)
+    builds = Counter()
+
+    def counting(r):
+        builds[r] += 1
+        return builder.stabiliser(r)
+
+    symmetry = Symmetry(builder.orbits, counting)
+    minimum = solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry).witness
+    lexleast_min_semitotal_set(prod.graph, minimum=minimum, symmetry=symmetry)
+    assert builds and set(builds.values()) == {1}, builds
 
 
 def _search_calls(fn, *args, **kwargs):
