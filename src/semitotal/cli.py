@@ -117,12 +117,15 @@ def _cmd_scan(args) -> int:
         raise _UsageError("scan needs exactly one of --spec or --spec-json")
     if args.threshold_den <= 0:
         raise _UsageError("--threshold-den must be positive")
+    csv_path = args.csv or Path(args.out).with_suffix(".csv")
+    if Path(args.out).resolve() == Path(csv_path).resolve():
+        raise _UsageError(f"--out and the CSV path are the same file: {args.out}")
     options = _make_options(args)
     spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
     summary = scan(spec, options)
     with _user_file():
         write_jsonl(args.out, summary.records)
-        write_csv(args.csv or Path(args.out).with_suffix(".csv"), summary.records)
+        write_csv(csv_path, summary.records)
     print(summary.render())
     hunt = hunt_from_records(summary.records, (args.threshold_num, args.threshold_den))
     print(hunt.render())

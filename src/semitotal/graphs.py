@@ -425,8 +425,8 @@ class Symmetry:
     """A group A of automorphisms of a graph, checked once, as the searches
     read it (``solvers`` says why orbits keep the value): ``orbit(v)``, v's
     orbit under A as a vertex mask, and ``fix(r)``, the stabiliser of r in
-    a subgroup B of A as a ``PermGroup``, even of the identity alone (a
-    lexleast probe given a group picks its root's row by orbits).
+    a subgroup B of A as a ``PermGroup``, or None when it holds the
+    identity alone, as in ``PermGroup.fix``: None is the trivial group.
 
     ``orbits`` holds A's orbits as disjoint vertex masks that cover 0..n-1,
     which the constructor checks (``ValueError``), setting ``n``.
@@ -471,8 +471,9 @@ class Symmetry:
             self._built[r] = perms
         return perms
 
-    def fix(self, r: int) -> "PermGroup":
-        return PermGroup(self.stabiliser(r))
+    def fix(self, r: int) -> "PermGroup | None":
+        perms = self.stabiliser(r)
+        return PermGroup(perms) if perms else None
 
 
 class PermGroup:

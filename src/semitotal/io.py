@@ -197,6 +197,8 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[InstanceRecord]]:
     if not lines:
         raise ValueError(f"{path}: empty record file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header line is not a JSON object")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {header.get('schema_version')}")
     records = [InstanceRecord.from_json_dict(json.loads(line)) for line in lines[1:]]

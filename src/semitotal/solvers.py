@@ -291,8 +291,7 @@ def _search_kernel(
     branching vertex (each needs its own member).  The scan returns as soon
     as that number leaves no room under the incumbent or the budget.  A
     vertex with no candidate left counts as disjoint; a scan that goes on
-    past it branches on it (no count is lower), with no child, but the
-    root's override row (below) would hide it, so the root returns.
+    past it branches on it (no count is lower), with no child.
 
     ``need[c]`` is ceil(c * num / den).  For gamma (num, den) is
     (1, max degree + 1), since a member covers at most den vertices, and
@@ -313,17 +312,13 @@ def _search_kernel(
 
     ``group``, a ``graphs.Symmetry`` or ``graphs.PermGroup`` that fixes
     ``chosen0`` and keeps ``excluded0``, is the root's; a node with a
-    group takes one child per orbit of it among its candidates, skips a
-    candidate in the orbit of an earlier one, and gives the child for v
-    the group ``fix(v)``.  A node without one is the trivial case.  The
-    root then branches on the cover row of the uncovered vertex whose row
-    meets the fewest orbits (least index on ties), not the row with the
-    fewest candidates: each orbit it meets is one root branch, and the
-    fewest-candidates row takes 1,261 calls in place of 686 on one
-    10-vertex random factor x P3.  A group keeps the minimum in optimise
-    mode and the answer in budgeted-feasible mode, not the witness (module
-    docstring), so both take one; ``collect``, which must reach every set,
-    takes none.
+    group, the root included, takes one child per orbit of it among its
+    candidates, skips a candidate in the orbit of an earlier one, and gives
+    the child for v the group ``fix(v)``, None when nothing but the
+    identity fixes v.  None is the trivial group.  A group keeps the
+    minimum in optimise mode and the answer in budgeted-feasible mode, not
+    the witness (module docstring), so both take one; ``collect``, which
+    must reach every set, takes none.
     """
     n = g.n
     full = (1 << n) - 1
@@ -332,7 +327,7 @@ def _search_kernel(
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
 
-    def search(chosen: int, covered: int, excluded: int, size: int, group, row=-1) -> bool:
+    def search(chosen: int, covered: int, excluded: int, size: int, group) -> bool:
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
@@ -358,10 +353,6 @@ def _search_kernel(
                     branch, branch_count = u, count
             if disjoint > bound:
                 bound = disjoint
-            if row >= 0:
-                if not branch_count:
-                    return False  # the root's row would hide a vertex with no candidate
-                branch = row
             ranked, rows = cover_ranked, cover
         else:
             branch = -1
@@ -404,20 +395,7 @@ def _search_kernel(
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    row = -1
-    if group is not None and covered0 != full:
-        meets, seen = [0] * n, 0  # meets[v]: the orbits that cover[v] meets
-        for w in range(n):
-            if not seen >> w & 1:
-                orbit = group.orbit(w)
-                seen |= orbit
-                reach = 0  # cover rows are symmetric: each v whose row meets the orbit
-                for x in _bits(orbit):
-                    reach |= cover[x]
-                for v in _bits(reach):
-                    meets[v] += 1
-        row = min(_bits(full & ~covered0), key=meets.__getitem__)
-    search(chosen0, covered0, excluded0, chosen0.bit_count(), group, row)
+    search(chosen0, covered0, excluded0, chosen0.bit_count(), group)
     return best
 
 
@@ -511,7 +489,7 @@ def _max_two_packing_bnb(g: Graph) -> int:
             best_mask |= 1 << v
     best_size = best_mask.bit_count()
 
-    def search(candidates: int, chosen: int, size: int) -> None:
+    def pack(candidates: int, chosen: int, size: int) -> None:
         nonlocal best_mask, best_size
         if size + candidates.bit_count() <= best_size:
             return
@@ -523,10 +501,10 @@ def _max_two_packing_bnb(g: Graph) -> int:
             d = (conf[v] & candidates).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
-        search(candidates & ~conf[pick] & ~(1 << pick), chosen | 1 << pick, size + 1)
-        search(candidates & ~(1 << pick), chosen, size)
+        pack(candidates & ~conf[pick] & ~(1 << pick), chosen | 1 << pick, size + 1)
+        pack(candidates & ~(1 << pick), chosen, size)
 
-    search((1 << n) - 1, 0, 0)
+    pack((1 << n) - 1, 0, 0)
     return best_mask
 
 

@@ -272,6 +272,23 @@ def test_scan_rejects_out_of_range_options_before_scanning(capsys, tmp_path, fla
     assert not out_path.exists() and not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "out,csv_path",
+    [("run.csv", None), ("run.jsonl", "run.jsonl"), ("run.jsonl", "sub/../run.jsonl")],
+)
+def test_scan_rejects_a_csv_path_that_is_the_jsonl_before_scanning(capsys, tmp_path, out, csv_path):
+    # the CSV would overwrite the JSONL it follows
+    (tmp_path / "sub").mkdir()
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / out), "--workers", "1"]
+    if csv_path is not None:
+        argv += ["--csv", str(tmp_path / csv_path)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert "same file" in err
+    assert stdout == ""
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("value", ["0", "4097"])
 def test_verify_proof_rejects_out_of_range_product_cap(capsys, value):
     argv = ["verify-proof", "--left", "path:2", "--right", "path:2", "--product-cap", value]

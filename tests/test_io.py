@@ -141,6 +141,14 @@ def test_jsonl_rejects_unknown_schema(tmp_path):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("header", ["[1]", "3", '"schema_version"', "null"])
+def test_jsonl_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        read_jsonl(path)
+
+
 def test_comparison_form_strips_timing(tmp_path):
     summary = run_scan("paths:2-3 x paths:2-3")
     path = tmp_path / "run.jsonl"

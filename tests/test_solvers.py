@@ -394,15 +394,32 @@ def test_kernel_budget_is_tight(g, data):
 
 
 def test_root_with_a_group_stops_at_a_vertex_with_no_candidate():
-    # with a group the root branches on the row that meets the fewest
-    # orbits, here vertex 0's on P5 under the trivial group, so the root
-    # itself must end the search when another uncovered vertex has no
-    # candidate left: vertex 2, whose closed neighbourhood is excluded
+    # on P5 under the trivial group vertex 2, whose closed neighbourhood is
+    # excluded, has no candidate left; the root branches on it like any
+    # node, with no child, so the search ends at the root
     g = generate("path", 5)
     tables = _kernel_tables(g, "gamma_t2")
     kwargs = dict(budget=5, excluded0=0b01110, group=_trivial_symmetry(5))
     assert _search_kernel(g, tables, **kwargs) is None
     assert _search_calls(_search_kernel, g, tables, **kwargs) == 1
+
+
+def test_trivial_group_searches_like_no_group():
+    # singleton orbits and empty stabilisers: the root and every node below
+    # branch as without a group, so the product solve and lexleast return
+    # the plain witness after exactly the plain search's calls, on random
+    # G on 8 to 12 vertices x P2 and P3 and on P12 x P3
+    lefts = [generate("random", 8 + seed % 5, p=0.3, seed=seed) for seed in range(60)]
+    products = [(g, generate("path", k)) for g in lefts if g.is_isolate_free() for k in (2, 3)]
+    products.append((generate("path", 12), generate("path", 3)))
+    assert len(products) >= 80
+    for g, h in products:
+        prod = cartesian_product(g, h).graph
+        trivial = _trivial_symmetry(prod.n)
+        for fn, args in ((solve_bnb, (prod, "gamma_t2")), (lexleast_min_semitotal_set, (prod,))):
+            assert fn(*args, symmetry=trivial) == fn(*args), (g.adj, h.n, fn.__name__)
+            calls = _search_calls(fn, *args, symmetry=trivial)
+            assert calls == _search_calls(fn, *args), (g.adj, h.n, fn.__name__)
 
 
 def _family_products(max_order):
@@ -669,7 +686,7 @@ def test_lexleast_search_node_ceiling(left, right, symmetric, ceiling):
     # counting bound (the degree bound alone visits 9,786 and 15,495).
     # With the product symmetry a failed probe bars its orbit and a probe
     # searches over the stabiliser's orbits, as does the starting solve:
-    # the last three visit 1,642, 1,801 and 1,949 nodes, and 2,257, 2,428
+    # the last three visit 1,642, 1,801 and 1,791 nodes, and 2,257, 2,428
     # and 3,487 without it
     prod = cartesian_product(generate(*left), generate(*right))
     symmetry = product_symmetry(prod) if symmetric else None
@@ -683,17 +700,15 @@ def test_lexleast_search_node_ceiling(left, right, symmetric, ceiling):
         (("path", 7), ("cycle", 7), 5_062),
         (("cycle", 7), ("path", 7), 2_522),
         (("cycle", 7), ("cycle", 7), 7_259),
-        (("g6", "IG_O??Bo_"), ("path", 3), 705),
+        (("g6", "IG_O??Bo_"), ("path", 3), 1_280),
     ],
 )
 def test_product_solve_search_node_ceiling(left, right, ceiling):
     # deterministic performance guard for orbital branching: these visit
-    # 12,189, 5,043, 2,503, 7,240 and 686 nodes; with orbits at the root
+    # 12,189, 5,043, 2,503, 7,240 and 1,261 nodes; with orbits at the root
     # only 12,188, 5,744, 3,803 and 31,810 (a product of paths has almost
     # no symmetry below the root); unrooted 28,118, 13,194, 13,433 and
-    # 111,379.  The root branches on the cover row that meets the fewest
-    # orbits: on the 10-vertex random factor x P3, the row with the fewest
-    # candidates would take 1,261 nodes
+    # 111,379
     factors = [parse_graph6(f[1]) if f[0] == "g6" else generate(*f) for f in (left, right)]
     prod = cartesian_product(*factors)
     symmetry = product_symmetry(prod)
@@ -716,13 +731,13 @@ def test_candidate_order_is_pinned():
         for kind, mask in zip(("gamma", "gamma_t", "gamma_t2"), masks):
             assert solve_bnb(prod.graph, kind).witness.mask == mask, (factors, kind)
     prod = cartesian_product(parse_graph6("IG_O??Bo_"), generate("path", 3))
-    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=product_symmetry(prod)) == 686
+    assert _search_calls(solve_bnb, prod.graph, "gamma_t2", symmetry=product_symmetry(prod)) == 1_261
     prod = cartesian_product(generate("path", 12), generate("path", 3))
     symmetry = product_symmetry(prod)
     assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 1_642
     prod = cartesian_product(parse_graph6("IG_O??Bo_"), generate("cycle", 3))
     symmetry = product_symmetry(prod)
-    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 16_005
+    assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 16_288
 
 
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
