@@ -34,7 +34,7 @@ def main():
             f"x(G)={ap.allied_count}, y(G)={ap.free_count}"
         )
         pi = build_cell_partition(g, ap)
-        cells = {ap.order[i]: sorted(c.vertices()) for i, c in enumerate(pi.cells)}
+        cells = {ap.order[i]: sorted(c.vertices()) for i, c in enumerate(pi)}
         print(f"  cells by owner: {cells}")
         problems = cell_partition_violations(g, ap, pi)
         print(f"  partition invariants: {'all hold' if not problems else problems}")

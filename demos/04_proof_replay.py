@@ -37,7 +37,7 @@ def main():
     print(f"\nmaximum allied set {sorted(ap.members.vertices())} "
           f"(allied {sorted(ap.allied.vertices())}, free {sorted(ap.free.vertices())})")
     pi = build_cell_partition(g, ap)
-    for i, cell in enumerate(pi.cells):
+    for i, cell in enumerate(pi):
         role = "allied" if i < ap.allied_count else "free"
         print(f"  cell {i} (owner {ap.order[i]}, {role}): {sorted(cell.vertices())}")
     assert cell_partition_violations(g, ap, pi) == []
@@ -58,7 +58,7 @@ def main():
 
     report = check_column_bounds(prod, d, ap, pi, cover)
     print("\nper-column checks (|R^v| <= 2|D^v| and replacement-set validity):")
-    for check in report.columns:
+    for check in report:
         print(
             f"  column {check.column}: |R^v|={check.indexed_rows} |D^v|={check.column_set_size} "
             f"replacement {sorted(check.witness.vertices())} "

@@ -201,9 +201,6 @@ class Graph:
     def is_isolate_free(self) -> bool:
         return all(row != 0 for row in self.adj)
 
-    def vertex_set(self, vertices: Iterable[int]) -> VertexSet:
-        return VertexSet.from_vertices(self.n, vertices)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -131,15 +131,16 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
     name = str(entry["family"]).lower()
+    lo = entry.get("n_min", entry.get("n", 0))
+    hi = entry.get("n_max", entry.get("n", 0))
     try:
-        lo = int(entry.get("n_min", entry.get("n", 0)))
-        hi = int(entry.get("n_max", entry.get("n", 0)))
-        if name == "random":
-            p, seed = float(entry["p"]), int(entry["seed"])
+        p, seed = (entry["p"], entry["seed"]) if name == "random" else (0, 0)
     except KeyError as exc:
         raise FamilySpecError(f"random spec entry {entry} needs {exc.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed") from None
+    # orders and seeds are JSON integers and p a JSON number; a bool is neither
+    if not all(type(x) is int for x in (lo, hi, seed)) or type(p) not in (int, float):
+        raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed")
+    p = float(p)
     if name == "random":
         return [
             _generated(f"random:{n}:p{p}:s{seed}", "random", n, p=p, seed=seed)
@@ -201,7 +202,15 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[InstanceRecord]]:
         raise ValueError(f"{path}: header line is not a JSON object")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {header.get('schema_version')}")
-    records = [InstanceRecord.from_json_dict(json.loads(line)) for line in lines[1:]]
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: line {number} is not a JSON object")
+        try:
+            records.append(InstanceRecord.from_json_dict(data))
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {number} lacks the key {exc.args[0]!r}") from None
     return header, records
 
 
@@ -281,6 +290,8 @@ def render_csv_report(path: str | Path) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         data = dict(zip(CSV_COLUMNS, row))
         if data["ratio_num"]:
+            if int(data["ratio_den"]) == 0:
+                raise ValueError(f"{path}: row {data['id']!r} has a zero ratio_den")
             ratio = Fraction(int(data["ratio_num"]), int(data["ratio_den"]))
             if min_ratio is None or ratio < min_ratio:
                 min_ratio, min_id = ratio, data["id"]

@@ -79,8 +79,6 @@ def allied_split(g: Graph, u: VertexSet) -> AlliedPartition:
     A member is allied when it is adjacent to another member; rejected inputs
     name the failed predicate.
     """
-    if u.n != g.n:
-        raise ValueError("vertex set bound to a different graph order")
     if not is_semitotal_dominating(g, u):
         raise ValueError("allied_split: set failed predicate is_semitotal_dominating")
     minimum = solve_bnb(g, "gamma_t2").value
@@ -121,15 +119,9 @@ def max_allied_set(g: Graph, *, gamma_t2: int | None = None) -> AlliedPartition:
     return _allied_partition(g, best)
 
 
-@dataclass(frozen=True)
-class CellPartition:
-    """Partition of the factor's vertices into one cell per member of U."""
-
-    cells: tuple[VertexSet, ...]
-
-
-def build_cell_partition(g: Graph, ap: AlliedPartition) -> CellPartition:
-    """Assign every vertex of G to a cell, least admissible index first.
+def build_cell_partition(g: Graph, ap: AlliedPartition) -> tuple[VertexSet, ...]:
+    """Assign every vertex of G to a cell, least admissible index first; the
+    cells are parallel to ``ap.order``.
 
     Free members sit in their own cells; every other vertex, allied members
     included, joins the first cell in ``ap.order`` whose owner it neighbors.
@@ -158,24 +150,26 @@ def build_cell_partition(g: Graph, ap: AlliedPartition) -> CellPartition:
                 "allied": ap.allied.vertices(),
             },
         )
-    return CellPartition(cells=tuple(VertexSet(g.n, m) for m in cells))
+    return tuple(VertexSet(g.n, m) for m in cells)
 
 
-def cell_partition_violations(g: Graph, ap: AlliedPartition, pi: CellPartition) -> list[str]:
+def cell_partition_violations(
+    g: Graph, ap: AlliedPartition, cells: tuple[VertexSet, ...]
+) -> list[str]:
     """Check the three cell-partition invariants; returns violation strings."""
     order = ap.order
     ell = ap.allied_count
     problems = []
-    if len(pi.cells) != len(order):
-        return [f"partition has {len(pi.cells)} cells for {len(order)} members"]
+    if len(cells) != len(order):
+        return [f"partition has {len(cells)} cells for {len(order)} members"]
     union = 0
-    for i, cell in enumerate(pi.cells):
+    for i, cell in enumerate(cells):
         if union & cell.mask:
             problems.append(f"cell {i} overlaps an earlier cell")
         union |= cell.mask
     if union != (1 << g.n) - 1:
         problems.append("cells do not cover every vertex")
-    for i, cell in enumerate(pi.cells):
+    for i, cell in enumerate(cells):
         owner = order[i]
         if i < ell:
             if cell.mask & ~g.adj[owner]:
@@ -189,7 +183,7 @@ def cell_partition_violations(g: Graph, ap: AlliedPartition, pi: CellPartition) 
         a = order[i]
         for j in range(ell, len(order)):
             b = order[j]
-            if not g.closed[a] >> b & 1 and g.adj[a] & g.adj[b] & pi.cells[j].mask:
+            if not g.closed[a] >> b & 1 and g.adj[a] & g.adj[b] & cells[j].mask:
                 problems.append(
                     f"distance-2 exclusion violated between allied {a} and free {b}"
                 )
@@ -214,7 +208,9 @@ class CellProfile:
     uncovered: VertexSet
 
 
-def project_profiles(prod: ProductGraph, d: VertexSet, pi: CellPartition) -> tuple[CellProfile, ...]:
+def project_profiles(
+    prod: ProductGraph, d: VertexSet, cells: tuple[VertexSet, ...]
+) -> tuple[CellProfile, ...]:
     """One profile per cell, computed from H-distances."""
     pg = prod.graph
     if d.n != pg.n:
@@ -224,7 +220,7 @@ def project_profiles(prod: ProductGraph, d: VertexSet, pi: CellPartition) -> tup
     h = prod.right
     full_h = (1 << h.n) - 1
     profiles = []
-    for i, cell in enumerate(pi.cells):
+    for i, cell in enumerate(cells):
         if cell.n != prod.n_g:
             raise ValueError("cell partition bound to a different factor order")
         members = d.mask & prod.rows(cell.mask)
@@ -266,10 +262,10 @@ class CoverIndex:
 def build_cover_index(
     prod: ProductGraph,
     d: VertexSet,
-    pi: CellPartition,
+    cells: tuple[VertexSet, ...],
     profiles: tuple[CellProfile, ...],
 ) -> CoverIndex:
-    cell_rows = [prod.rows(cell.mask) for cell in pi.cells]
+    cell_rows = [prod.rows(cell.mask) for cell in cells]
     indexed = []
     for v, col in enumerate(prod.col_masks):
         horizon = prod.graph.neighborhood(d.mask & col)
@@ -295,7 +291,7 @@ def build_column_witness(
     prod: ProductGraph,
     d: VertexSet,
     ap: AlliedPartition,
-    pi: CellPartition,
+    cells: tuple[VertexSet, ...],
     v: int,
     cover: CoverIndex,
 ) -> VertexSet:
@@ -324,7 +320,7 @@ def build_column_witness(
         owner = order[i]
         if indexed >> i & 1 or not projection_g >> owner & 1:
             continue
-        candidates = g.adj[owner] & pi.cells[i].mask
+        candidates = g.adj[owner] & cells[i].mask
         if not candidates:
             candidates = g.adj[owner]
         witness |= candidates & -candidates  # least-index neighbor
@@ -357,22 +353,13 @@ class ColumnCheck:
         return self.inequality_ok and self.witness_valid and self.witness_size_ok
 
 
-@dataclass(frozen=True)
-class ColumnReport:
-    columns: tuple[ColumnCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.columns)
-
-
 def check_column_bounds(
     prod: ProductGraph,
     d: VertexSet,
     ap: AlliedPartition,
-    pi: CellPartition,
+    cells: tuple[VertexSet, ...],
     cover: CoverIndex,
-) -> ColumnReport:
+) -> tuple[ColumnCheck, ...]:
     """Per-column bound |R^v| <= 2|D^v| plus witness validation.
 
     The bound's contradiction frame assumes d is a minimum semi-total
@@ -384,7 +371,7 @@ def check_column_bounds(
     for v in range(prod.n_h):
         rv = cover.col_counts[v]
         dv = (d.mask & prod.col_masks[v]).bit_count()
-        witness = build_column_witness(prod, d, ap, pi, v, cover)
+        witness = build_column_witness(prod, d, ap, cells, v, cover)
         valid = is_semitotal_dominating(g, witness)
         size_ok = len(witness) <= 2 * dv + gamma_g - rv
         checks.append(
@@ -398,7 +385,7 @@ def check_column_bounds(
                 witness_size_ok=size_ok,
             )
         )
-    return ColumnReport(columns=tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -410,7 +397,6 @@ class ConnectorResult:
     an implementation error.
     """
 
-    index: int
     connectors: VertexSet
     base_valid: bool
 
@@ -447,11 +433,7 @@ def build_connector_set(h: Graph, profile: CellProfile) -> ConnectorResult:
         )
     base = profile.missing.mask | profile.projection.mask | connectors
     valid = _semitotal_dominating_mask(h, base)
-    return ConnectorResult(
-        index=profile.index,
-        connectors=VertexSet(h.n, connectors),
-        base_valid=valid,
-    )
+    return ConnectorResult(connectors=VertexSet(h.n, connectors), base_valid=valid)
 
 
 @dataclass(frozen=True)

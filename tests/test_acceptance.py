@@ -232,7 +232,7 @@ def test_criterion_4_column_replay(sweep_bundles):
     failures = []
     for b in bundles:
         report = b.column_report
-        for check in report.columns:
+        for check in report:
             if not (check.inequality_ok and check.witness_valid and check.witness_size_ok):
                 failures.append(
                     (
@@ -245,7 +245,7 @@ def test_criterion_4_column_replay(sweep_bundles):
                         check.witness_size_ok,
                     )
                 )
-    columns = sum(len(b.column_report.columns) for b in bundles)
+    columns = sum(len(b.column_report) for b in bundles)
     assert criterion(
         4,
         not failures,

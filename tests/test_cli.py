@@ -243,8 +243,30 @@ def test_scan_internal_os_error_is_not_usage(tmp_path, monkeypatch):
         ({"left": [{"graph6_file": 5}]}, "needs a string 'graph6_file'"),
         ({"left": [{"family": "path", "n": [2]}]}, "needs numeric n, p and seed"),
         (5, '"left" and "right"'),
+        ({"left": [{"family": "path", "n": 2.9}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "path", "n": "3"}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "path", "n": True}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "path", "n_min": 2, "n_max": 3.0}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "random", "n": 4, "p": 0.5, "seed": 1.5}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "random", "n": 4, "p": True, "seed": 1}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "random", "n": 4, "p": "0.5", "seed": 1}]}, "needs numeric n, p and seed"),
     ],
-    ids=["side-number", "side-object", "entry-number", "graph6", "graph6_file", "n-list", "top"],
+    ids=[
+        "side-number",
+        "side-object",
+        "entry-number",
+        "graph6",
+        "graph6_file",
+        "n-list",
+        "top",
+        "n-float",
+        "n-string",
+        "n-bool",
+        "n_max-float",
+        "seed-float",
+        "p-bool",
+        "p-string",
+    ],
 )
 def test_scan_rejects_malformed_json_spec(capsys, tmp_path, spec, message):
     if isinstance(spec, dict):
@@ -358,6 +380,21 @@ def test_report_rejects_truncated_scan_csv(capsys, tmp_path):
     code, out, err = run(capsys, "report", "--csv", str(csv_path))
     assert code == 2
     assert "not a scan summary CSV" in err
+    assert out == ""
+
+
+def test_report_rejects_a_zero_ratio_denominator(capsys, tmp_path):
+    out_path = tmp_path / "z.jsonl"
+    run(capsys, "scan", "--spec", "path:2 x path:2", "--out", str(out_path), "--workers", "1")
+    csv_path = tmp_path / "z.csv"
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("ratio_den")] = "0"
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    assert code == 2
+    assert "ratio_den" in err
     assert out == ""
 
 

@@ -149,6 +149,22 @@ def test_jsonl_rejects_a_header_that_is_not_an_object(tmp_path, header):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("[1]", "line 2 is not a JSON object"),
+        ("3", "line 2 is not a JSON object"),
+        ('{"id": "x"}', "line 2 lacks the key 'left_id'"),
+    ],
+    ids=["list", "number", "missing-key"],
+)
+def test_jsonl_rejects_a_record_line_that_is_not_a_record(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"schema_version": 1}\n' + line + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_jsonl(path)
+
+
 def test_comparison_form_strips_timing(tmp_path):
     summary = run_scan("paths:2-3 x paths:2-3")
     path = tmp_path / "run.jsonl"

@@ -70,6 +70,11 @@ def test_allied_split_rejects_non_minimum():
         allied_split(generate("cycle", 6), vs(6, 0, 1, 2, 3))
 
 
+def test_allied_split_rejects_a_set_of_another_order():
+    with pytest.raises(ValueError, match="vertex set bound to a different graph order"):
+        allied_split(generate("cycle", 6), vs(7, 0, 1, 3))
+
+
 def test_max_allied_examples():
     assert_counts = {
         ("cycle", 6): (2, 1),
@@ -136,7 +141,7 @@ def test_cell_partition_p2():
     g = generate("path", 2)
     ap = max_allied_set(g)
     pi = build_cell_partition(g, ap)
-    assert [c.vertices() for c in pi.cells] == [(1,), (0,)]
+    assert [c.vertices() for c in pi] == [(1,), (0,)]
     assert cell_partition_violations(g, ap, pi) == []
 
 
@@ -147,8 +152,8 @@ def test_cell_partition_c6_exclusion_rule():
     assert cell_partition_violations(g, ap, pi) == []
     # vertex 2 neighbors allied 1 (distance 2 from free 3), so it may not
     # join the free cell of 3
-    assert 2 not in pi.cells[2]
-    assert 2 in pi.cells[1]
+    assert 2 not in pi[2]
+    assert 2 in pi[1]
 
 
 def test_cell_partition_random_sweep():
@@ -200,7 +205,7 @@ def test_cell_partition_is_first_neighbouring_cell():
     for g in graphs:
         ap = max_allied_set(g)
         pi = build_cell_partition(g, ap)
-        assert list(pi.cells) == _first_neighbouring_cell(g, ap), g.adj
+        assert list(pi) == _first_neighbouring_cell(g, ap), g.adj
         assert cell_partition_violations(g, ap, pi) == [], g.adj
 
 
@@ -218,7 +223,7 @@ def test_cell_partition_free_cells_contain_owner():
     ap = max_allied_set(g)  # all free for P5
     pi = build_cell_partition(g, ap)
     for pos in range(ap.allied_count, ap.size):
-        assert ap.order[pos] in pi.cells[pos]
+        assert ap.order[pos] in pi[pos]
 
 
 # Projection profiles
@@ -303,8 +308,8 @@ def test_cover_index_full_product_set():
     profiles = project_profiles(prod, d, pi)
     cover = build_cover_index(prod, d, pi, profiles)
     # with every product vertex chosen, every slab is horizontally dominated
-    assert cover.indexed == ((1 << len(pi.cells)) - 1,) * prod.n_h
-    assert cover.total == len(pi.cells) * prod.n_h
+    assert cover.indexed == ((1 << len(pi)) - 1,) * prod.n_h
+    assert cover.total == len(pi) * prod.n_h
 
 
 # Column bound and witness
@@ -314,8 +319,8 @@ def test_column_checks_p2_p2():
     g = generate("path", 2)
     prod, d, ap, pi, profiles, cover = replay_bundle(g, g)
     report = check_column_bounds(prod, d, ap, pi, cover)
-    assert report.ok
-    for check in report.columns:
+    assert all(c.ok for c in report)
+    for check in report:
         assert check.inequality_ok and check.witness_valid and check.witness_size_ok
         assert check.witness == vs(2, 0, 1)
 
