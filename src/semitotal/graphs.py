@@ -9,7 +9,7 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 product that the searches read (``product_symmetry``, a checked
 ``Symmetry``): orbits of the group A that each factor's shift, reversal and
 twin swaps generate, and point stabilisers in its subgroup B that the shift
-and reversal generate.
+and reversal generate, which ``_factor_group`` lists.
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
@@ -17,7 +17,6 @@ carry the ``INF`` sentinel.
 import math
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
 
 INF = math.inf
 
@@ -323,37 +322,29 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
     return True
 
 
-def _shift_and_reversal(g: Graph) -> tuple[bool, bool]:
-    """Whether the shift v -> v + 1 (mod n) and the reversal v -> n - 1 - v
-    preserve g's adjacency.  A graph that the shift preserves is a
-    circulant, whose connection set is closed under negation, so v -> -v
-    and the reversal, the shift's inverse after it, preserve it too; the
-    reversal is tested only when the shift fails."""
-    identity = tuple(range(g.n))
-    shift = _is_automorphism(g.adj, identity[1:] + identity[:1])
-    return shift, shift or _is_automorphism(g.adj, identity[::-1])
-
-
-def _dihedral_maps(n: int, shift: bool, reversal: bool, a: int, b: int) -> list[tuple[int, ...]]:
-    """The elements that map a to b of the group generated by the shift
-    (when ``shift``) and the reversal (when ``reversal``) on 0..n-1, the
-    identity first when a == b.  With both, the group is dihedral: the
-    rotations v -> v + k and the reflections v -> s - v (mod n), one of
-    each mapping a to b (for n <= 2 the reflections are rotations).  The
-    reversal alone gives {identity, reversal}.  The group is all of
-    Aut(C_n) and Aut(P_n) for the cycles and paths of ``generate``, and a
-    subgroup of Aut(g) for any g whose flags these are."""
+def _factor_group(g: Graph) -> list[tuple[int, ...]]:
+    """The elements, as tuples p with p[v] the image of v, the identity
+    first, of the group B that the shift v -> v + 1 (mod n) and the
+    reversal v -> n - 1 - v generate where they preserve g's adjacency.  A
+    graph that the shift preserves is a circulant, whose connection set is
+    closed under negation, so the reflections v -> s - v (mod n) preserve
+    it too: B is then dihedral, the n rotations and, for n > 2, the n
+    reflections (for n <= 2 they are rotations).  Otherwise B is
+    {identity, reversal} where the reversal preserves g, else the identity
+    alone.  B is all of Aut(C_n) and Aut(P_n) for the cycles and paths of
+    ``generate``, and a subgroup of Aut(g) for any g; ``product_symmetry``
+    checks its elements."""
+    n = g.n
     identity = tuple(range(n))
-    if shift:
-        k = (b - a) % n
-        maps = [identity[k:] + identity[:k]]
-        if reversal and n > 2:
-            maps.append(tuple([(a + b - v) % n for v in range(n)]))
-        return maps
-    maps = [identity] if a == b else []
-    if reversal and a + b == n - 1:
-        maps.append(identity[::-1])
-    return maps
+    reversal = identity[::-1]
+    if _is_automorphism(g.adj, identity[1:] + identity[:1]):
+        group = [identity[k:] + identity[:k] for k in range(n)]
+        if n > 2:  # reversal[k:] + reversal[:k] is v -> n - 1 - k - v
+            group += [reversal[k:] + reversal[:k] for k in range(n)]
+        return group
+    if n > 1 and _is_automorphism(g.adj, reversal):
+        return [identity, reversal]
+    return [identity]
 
 
 def _twin_cycles(rows: tuple[int, ...]) -> list[int] | None:
@@ -373,49 +364,39 @@ def _twin_cycles(rows: tuple[int, ...]) -> list[int] | None:
     return perm
 
 
-def _factor_orbits(g: Graph, shift: bool, reversal: bool) -> tuple[int, ...]:
+def _factor_orbits(g: Graph, group: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """The orbits, as vertex masks in order of least vertex, of the group A
     of automorphisms of g that these generate:
 
-    - the shift v -> v + 1 (mod n), when ``shift``: it is one n-cycle, so
-      A then has one orbit;
-    - the reversal v -> n - 1 - v, when ``reversal``;
+    - the elements of ``group``, g's group B (``_factor_group``), which
+      ``product_symmetry`` has checked;
     - one cycle through each class of open twins (same neighbourhood) and
-      one through each class of closed twins (same closed neighbourhood).
+      one through each class of closed twins (same closed neighbourhood),
+      each checked here before it merges, with a raise.
 
-    The flags are ``_shift_and_reversal(g)``, whose tests already checked
-    the shift and the reversal; the twin cycles are checked before they
-    merge, with a raise.  A's orbits lie inside Aut(g)'s and equal them on
-    the cycles, complete graphs, paths and stars of ``generate``; elsewhere
-    they may be finer, which costs the product solve branches, not values.
+    A's orbits lie inside Aut(g)'s and equal them on the cycles, complete
+    graphs, paths and stars of ``generate``; elsewhere they may be finer,
+    which costs the product solve branches, not values.
     """
-    n = g.n
-    if shift:
-        return ((1 << n) - 1,)
-    parent = list(range(n))
+    orbit_of = [1 << v for v in range(g.n)]  # each vertex's class so far
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    def union(perm: list[int]) -> None:
+    def merge(perm: Sequence[int]) -> None:
         for v, w in enumerate(perm):
-            parent[find(v)] = find(w)
+            if not orbit_of[v] >> w & 1:
+                merged = orbit_of[v] | orbit_of[w]
+                for u in _bits(merged):
+                    orbit_of[u] = merged
 
-    if reversal:
-        union(list(range(n - 1, -1, -1)))
+    for perm in group:
+        merge(perm)
     for rows in (g.adj, g.closed):
         perm = _twin_cycles(rows)
         if perm is None:
             continue
         if not _is_automorphism(g.adj, perm):
             raise AssertionError(f"orbit merge by a non-automorphism {perm}")
-        union(perm)
-    orbits: dict[int, int] = {}
-    for v in range(n):
-        orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
-    return tuple(orbits.values())
+        merge(perm)
+    return tuple(dict.fromkeys(orbit_of))  # first seen at its least vertex
 
 
 class Symmetry:
@@ -426,18 +407,19 @@ class Symmetry:
     identity alone, as in ``PermGroup.fix``: None is the trivial group.
 
     ``orbits`` holds A's orbits as disjoint vertex masks that cover 0..n-1,
-    which the constructor checks (``ValueError``), setting ``n``.
-    ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the image of v,
-    every element but the identity of the stabiliser of r in B, so that its
-    images of a vertex are that vertex's orbit.  It calls the given builder
-    once per r and checks each element once (``AssertionError``): it must
-    fix r and keep every orbit of A, so that every union of A's orbits
-    stays invariant under the groups below.  That the elements preserve
-    adjacency is checked where they are built (``product_symmetry`` checks
-    their factor permutations), at the factors' cost, not the graph's.
+    which the constructor checks (``ValueError``), setting ``n``.  The
+    builder ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the
+    image of v, every element but the identity of the stabiliser of r in
+    B, so that its images of a vertex are that vertex's orbit.  The first
+    ``fix(r)`` calls it and checks each element (``AssertionError``): it
+    must fix r and keep every orbit of A, so that every union of A's orbits
+    stays invariant under the groups below.  Later calls return the same
+    group.  That the elements preserve adjacency is checked where they are
+    built (``product_symmetry`` checks its factor groups), at the factors'
+    cost, not the graph's.
     """
 
-    __slots__ = ("orbits", "n", "_orbit_of", "_build", "_built")
+    __slots__ = ("orbits", "n", "_orbit_of", "_build", "_fixed")
 
     def __init__(self, orbits: Iterable[int], stabiliser: Callable[[int], Sequence[tuple]]):
         self.orbits = orbits = tuple(orbits)
@@ -452,25 +434,20 @@ class Symmetry:
             for w in _bits(orbit):
                 self._orbit_of[w] = orbit
         self._build = stabiliser
-        self._built: dict[int, tuple[tuple[int, ...], ...]] = {}  # r -> its checked stabiliser
+        self._fixed: dict[int, PermGroup | None] = {}  # r -> its checked stabiliser
 
     def orbit(self, v: int) -> int:
         return self._orbit_of[v]
 
-    def stabiliser(self, r: int) -> tuple[tuple[int, ...], ...]:
-        perms = self._built.get(r)
-        if perms is None:
+    def fix(self, r: int) -> "PermGroup | None":
+        if r not in self._fixed:
             perms = tuple(self._build(r))
             orbit_of = self._orbit_of
             for p in perms:
                 if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
                     raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
-            self._built[r] = perms
-        return perms
-
-    def fix(self, r: int) -> "PermGroup | None":
-        perms = self.stabiliser(r)
-        return PermGroup(perms) if perms else None
+            self._fixed[r] = PermGroup(perms) if perms else None
+        return self._fixed[r]
 
 
 class PermGroup:
@@ -498,31 +475,36 @@ class PermGroup:
 def product_symmetry(prod: ProductGraph) -> Symmetry:
     """The symmetry of G x H that ``solve_bnb`` reads for a product.
 
-    Orbits: those of A = A_G x A_H on the flat indices, with the factor
-    swap (a, b) -> (b, a) when G == H, where each factor's A is generated
-    by its shift, reversal and twin swaps (``_factor_orbits``); cell (i, j)
-    holds the vertices whose coordinates lie in the i-th orbit of G and the
-    j-th of H.  Stabilisers: in the subgroup B of A that each factor's
-    shift and reversal generate, where they preserve adjacency
-    (``_dihedral_maps``: rotations and reflections, at most 2n elements),
-    with the swap when G == H.  Both are subgroups of Aut(G x H) (Hammack,
-    Imrich and Klavzar, *Handbook of Product Graphs*, 2011): (phi, psi)
-    preserves the product's adjacency exactly when phi preserves G's and
-    psi H's.  So each factor permutation that enters a stabiliser is
-    checked against its factor's adjacency, once, with a raise; that costs
-    the factor's edges, not the product's.  The orbits and the stabilisers
-    share one shift and reversal test per factor; each stabiliser is built
-    by its first call from the few factor permutations that fix or swap its
-    coordinates, so a solve pays only for the root branches it searches,
-    and ``Symmetry`` keeps it for later reads: ``verify_pair`` hands one
-    symmetry to the product solve and to lexleast.
+    Each factor's group B (``_factor_group``) holds the rotations and
+    reflections that its shift and reversal generate, where they preserve
+    adjacency: at most 2n permutations, listed once per factor.  Orbits:
+    those of A = A_G x A_H on the flat indices, with the factor swap
+    (a, b) -> (b, a) when G == H, where each factor's A is generated by its
+    B and twin swaps (``_factor_orbits``); cell (i, j) holds the vertices
+    whose coordinates lie in the i-th orbit of G and the j-th of H.
+    Stabilisers: in B_G x B_H, with the swap when G == H.  Both are
+    subgroups of Aut(G x H) (Hammack, Imrich and Klavzar, *Handbook of
+    Product Graphs*, 2011): (phi, psi) preserves the product's adjacency
+    exactly when phi preserves G's and psi H's.  So every element of each
+    factor's B but the identity is checked against its factor's adjacency
+    here, once, with a raise; that costs the factor's edges, not the
+    product's.  Each stabiliser is built by its first ``fix`` call from the
+    pairs of factor elements that fix or swap its coordinates, so a solve
+    pays only for the root branches it searches, and ``Symmetry`` keeps it
+    for later reads: ``verify_pair`` hands one symmetry to the product
+    solve and to lexleast.
     """
     g, h = prod.left, prod.right
     same = g == h
-    flags_g = _shift_and_reversal(g)
-    flags_h = flags_g if same else _shift_and_reversal(h)
-    left = _factor_orbits(g, *flags_g)
-    right = left if same else _factor_orbits(h, *flags_h)
+    group_g = _factor_group(g)
+    group_h = group_g if same else _factor_group(h)
+    for factor, group in {g: group_g, h: group_h}.items():
+        identity = list(range(factor.n))
+        for perm in group[1:]:  # the identity comes first
+            if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
+                raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
+    left = _factor_orbits(g, group_g)
+    right = left if same else _factor_orbits(h, group_h)
     # col_masks[0] holds one bit per row, so the product copies an orbit of
     # H into every row
     cols = [orbit * prod.col_masks[0] for orbit in right]
@@ -533,29 +515,19 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
     else:
         orbits = tuple(cell for row in cells for cell in row)
     n_h = prod.n_h
-    maps_g = partial(_dihedral_maps, g.n, *flags_g)
-    maps_h = partial(_dihedral_maps, h.n, *flags_h)
-    checked = {(tuple(range(g.n)), 0), (tuple(range(h.n)), 1)}  # (permutation, factor)
-
-    def check(perm: tuple[int, ...], side: int) -> None:
-        if (perm, side) not in checked:
-            factor = (g, h)[side]
-            if sorted(perm) != list(range(factor.n)) or not _is_automorphism(factor.adj, perm):
-                raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
-            checked.add((perm, side))
 
     def stabiliser(r: int) -> list[tuple[int, ...]]:
         a, b = prod.decode(r)
-        # (phi, psi) maps (x, y) to (phi[x], psi[y]); the maps of a to a
-        # list the identity first, so the first pair is the identity
-        fixing = [(phi, psi) for phi in maps_g(a, a) for psi in maps_h(b, b)][1:]
-        # the swap after (phi, psi) maps (x, y) to (psi[y], phi[x])
-        swapping = [(phi, psi) for phi in maps_g(a, b) for psi in maps_h(b, a)] if same else []
-        for phi, psi in fixing + swapping:
-            check(phi, 0)
-            check(psi, 1)
-        perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing]
-        perms += [tuple([y * n_h + x for x in phi for y in psi]) for phi, psi in swapping]
+        # (phi, psi) maps (x, y) to (phi[x], psi[y]); both groups list the
+        # identity first, so the first pair is the identity
+        fixing = [(phi, psi) for phi in group_g if phi[a] == a for psi in group_h if psi[b] == b]
+        perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing[1:]]
+        if same:  # the swap after (phi, psi) maps (x, y) to (psi[y], phi[x])
+            perms += [
+                tuple([y * n_h + x for x in phi for y in psi])
+                for phi in group_g if phi[a] == b
+                for psi in group_h if psi[b] == a
+            ]
         return perms
 
     return Symmetry(orbits, stabiliser)

@@ -114,15 +114,21 @@ class InstanceRecord:
             if f.default is MISSING and f.default_factory is MISSING:
                 values[f.name] = data[key]
             elif f.name in _CONTAINER_FIELDS:
-                values[f.name] = _CONTAINER_FIELDS[f.name](data.get(key, ()))
+                kind = _CONTAINER_FIELDS[f.name]
+                value = data.get(key, kind())
+                if not isinstance(value, kind):
+                    json_kind = "object" if kind is dict else "list"
+                    found = type(value).__name__
+                    raise ValueError(f"holds {key!r} as {found}, not a JSON {json_kind}")
+                values[f.name] = kind(value)
             else:
                 values[f.name] = data.get(key)
         return cls(**values)
 
 
 # JSON key of each record field, in field order; fields without a default
-# are required when reading.  Container fields are copied both ways, and
-# read as empty when absent.
+# are required when reading.  Container fields are copied both ways, read
+# as empty when absent, and must hold a JSON object (dict) or list (list).
 _RENAMED_KEYS = {"gamma_t2_g": "gamma_t2_G", "gamma_t2_h": "gamma_t2_H", "rho_g": "rho_G"}
 _JSON_KEYS = {f.name: _RENAMED_KEYS.get(f.name, f.name) for f in fields(InstanceRecord)}
 _CONTAINER_FIELDS = {"replay": dict, "findings": list, "timing": dict}

@@ -131,8 +131,19 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
     name = str(entry["family"]).lower()
-    lo = entry.get("n_min", entry.get("n", 0))
-    hi = entry.get("n_max", entry.get("n", 0))
+    # the orders: n alone, or n_min and n_max together
+    given = [key for key in ("n", "n_min", "n_max") if key in entry]
+    if given == ["n"]:
+        lo = hi = entry["n"]
+    elif given == ["n_min", "n_max"]:
+        lo, hi = entry["n_min"], entry["n_max"]
+    elif not given:
+        raise FamilySpecError(f"spec entry {entry} needs 'n', or 'n_min' and 'n_max'")
+    elif given[0] == "n":
+        raise FamilySpecError(f"spec entry {entry} gives both 'n' and {given[1]!r}")
+    else:
+        missing = "n_max" if given == ["n_min"] else "n_min"
+        raise FamilySpecError(f"spec entry {entry} gives {given[0]!r} without {missing!r}")
     try:
         p, seed = (entry["p"], entry["seed"]) if name == "random" else (0, 0)
     except KeyError as exc:
@@ -154,7 +165,7 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
 
 def load_spec_json(path: str | Path) -> FamilySpec:
     """JSON spec: {"left": [entries], "right": [entries]}; entries may be
-    {"family","n"|"n_min"/"n_max"}, {"family":"random","n","p","seed"},
+    {"family","n"|"n_min"+"n_max"}, {"family":"random","n","p","seed"},
     {"graph6": str}, or {"graph6_file": path relative to the spec file}."""
     path = Path(path)
     try:
@@ -193,24 +204,36 @@ def write_jsonl(path: str | Path, records: list[InstanceRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json_object(path: str | Path, number: int, line: str) -> dict:
+    """Line ``number`` of ``path`` as a JSON object, or a ``ValueError``
+    naming the file and the line."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: line {number} is not a JSON object ({exc.msg} at column {exc.colno})"
+        ) from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: line {number} is not a JSON object")
+    return data
+
+
 def read_jsonl(path: str | Path) -> tuple[dict, list[InstanceRecord]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty record file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header line is not a JSON object")
+    header = _json_object(path, 1, lines[0])
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {header.get('schema_version')}")
     records = []
     for number, line in enumerate(lines[1:], start=2):
-        data = json.loads(line)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: line {number} is not a JSON object")
+        data = _json_object(path, number, line)
         try:
             records.append(InstanceRecord.from_json_dict(data))
         except KeyError as exc:
             raise ValueError(f"{path}: line {number} lacks the key {exc.args[0]!r}") from None
+        except ValueError as exc:  # a container field of the wrong JSON type
+            raise ValueError(f"{path}: line {number} {exc}") from None
     return header, records
 
 

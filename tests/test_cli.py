@@ -250,6 +250,12 @@ def test_scan_internal_os_error_is_not_usage(tmp_path, monkeypatch):
         ({"left": [{"family": "random", "n": 4, "p": 0.5, "seed": 1.5}]}, "needs numeric n, p and seed"),
         ({"left": [{"family": "random", "n": 4, "p": True, "seed": 1}]}, "needs numeric n, p and seed"),
         ({"left": [{"family": "random", "n": 4, "p": "0.5", "seed": 1}]}, "needs numeric n, p and seed"),
+        ({"left": [{"family": "path", "n_min": 3}]}, "gives 'n_min' without 'n_max'"),
+        ({"left": [{"family": "path", "n_max": 3}]}, "gives 'n_max' without 'n_min'"),
+        ({"left": [{"family": "path"}]}, "needs 'n', or 'n_min' and 'n_max'"),
+        ({"left": [{"family": "path", "n": 3, "n_max": 5}]}, "gives both 'n' and 'n_max'"),
+        ({"left": [{"family": "path", "n": 3, "n_min": 2}]}, "gives both 'n' and 'n_min'"),
+        ({"left": [{"family": "random", "p": 0.5, "seed": 1}]}, "needs 'n', or 'n_min' and 'n_max'"),
     ],
     ids=[
         "side-number",
@@ -266,6 +272,12 @@ def test_scan_internal_os_error_is_not_usage(tmp_path, monkeypatch):
         "seed-float",
         "p-bool",
         "p-string",
+        "n_min-alone",
+        "n_max-alone",
+        "no-order",
+        "n-and-n_max",
+        "n-and-n_min",
+        "random-no-order",
     ],
 )
 def test_scan_rejects_malformed_json_spec(capsys, tmp_path, spec, message):

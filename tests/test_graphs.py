@@ -15,7 +15,7 @@ from semitotal import (
     generate,
     product_symmetry,
 )
-from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_orbits, _shift_and_reversal
+from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_group, _factor_orbits
 
 
 def test_from_edge_list_p2():
@@ -208,7 +208,7 @@ def _orbits_of(n, perms):
 
 def _orbits(g):
     """The factor orbits that product_symmetry builds for g."""
-    return _factor_orbits(g, *_shift_and_reversal(g))
+    return _factor_orbits(g, _factor_group(g))
 
 
 def _shift_reversal(g):
@@ -384,6 +384,30 @@ def _rotation_reflection_group(g):
     return _generated(g.n, _shift_reversal(g))
 
 
+def test_factor_group_is_the_rotation_reflection_group():
+    # every element once and the identity first, which the product's
+    # stabiliser builder relies on; the families at 1-9 vertices cover the
+    # dihedral case (cycles, complete graphs), the reversal alone (paths,
+    # from 3 vertices) and the identity alone (stars from 3 vertices)
+    graphs = [generate(family, n) for family in ("path", "complete", "star") for n in range(1, 10)]
+    graphs += [generate("cycle", n) for n in range(3, 10)]
+    graphs += [
+        generate("random", n, p=p, seed=seed)
+        for n in range(1, 10)
+        for p in (0.3, 0.5, 0.7)
+        for seed in range(3)
+    ]
+    graphs += [g for n in range(1, 7) for g in connected_graphs(n)]
+    sizes = set()
+    for g in graphs:
+        group = _factor_group(g)
+        assert group[0] == tuple(range(g.n)), g.adj
+        assert len(set(group)) == len(group), g.adj
+        assert set(group) == _rotation_reflection_group(g), g.adj
+        sizes.add(len(group) if len(group) <= 2 else "dihedral")
+    assert sizes == {1, 2, "dihedral"}
+
+
 @pytest.mark.parametrize(
     "left,right",
     [
@@ -413,7 +437,8 @@ def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, rig
     identity = tuple(range(n))
     symmetry = product_symmetry(prod)
     for r in range(n):
-        stabiliser = symmetry.stabiliser(r)
+        fixed = symmetry.fix(r)
+        stabiliser = fixed.elements if fixed else ()
         assert len(set(stabiliser)) == len(stabiliser)
         assert set(stabiliser) == {p for p in group if p[r] == r} - {identity}, r
         for p in stabiliser:

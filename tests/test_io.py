@@ -141,12 +141,21 @@ def test_jsonl_rejects_unknown_schema(tmp_path):
         read_jsonl(path)
 
 
-@pytest.mark.parametrize("header", ["[1]", "3", '"schema_version"', "null"])
+@pytest.mark.parametrize(
+    "header", ["[1]", "3", '"schema_version"', "null", "{x", "schema_version"]
+)
 def test_jsonl_rejects_a_header_that_is_not_an_object(tmp_path, header):
     path = tmp_path / "bad.jsonl"
     path.write_text(header + "\n")
-    with pytest.raises(ValueError, match="not a JSON object"):
+    with pytest.raises(ValueError, match="bad.jsonl: line 1 is not a JSON object") as info:
         read_jsonl(path)
+    assert type(info.value) is ValueError
+
+
+def _record_line(**fields):
+    """A record line with every required key and ``fields``."""
+    required = {"id": "x", "left_id": "a", "right_id": "b", "graph6_g": "A_", "graph6_h": "A_"}
+    return json.dumps({**required, "n_g": 2, "n_h": 2, **fields})
 
 
 @pytest.mark.parametrize(
@@ -155,14 +164,23 @@ def test_jsonl_rejects_a_header_that_is_not_an_object(tmp_path, header):
         ("[1]", "line 2 is not a JSON object"),
         ("3", "line 2 is not a JSON object"),
         ('{"id": "x"}', "line 2 lacks the key 'left_id'"),
+        ('{"id": "x"', "line 2 is not a JSON object"),
+        (_record_line(replay=5), "line 2 holds 'replay' as int, not a JSON object"),
+        (_record_line(replay=[["a", "b"]]), "line 2 holds 'replay' as list, not a JSON object"),
+        (_record_line(findings="ab"), "line 2 holds 'findings' as str, not a JSON list"),
+        (_record_line(timing=None), "line 2 holds 'timing' as NoneType, not a JSON object"),
     ],
-    ids=["list", "number", "missing-key"],
+    ids=[
+        "list", "number", "missing-key", "not-json", "replay-number", "replay-pairs",
+        "findings-string", "timing-null",
+    ],
 )
 def test_jsonl_rejects_a_record_line_that_is_not_a_record(tmp_path, line, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"schema_version": 1}\n' + line + "\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"bad.jsonl: {message}") as info:
         read_jsonl(path)
+    assert type(info.value) is ValueError
 
 
 def test_comparison_form_strips_timing(tmp_path):

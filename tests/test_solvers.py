@@ -489,7 +489,8 @@ def test_stabiliser_branching_keeps_the_value_off_the_transitive_families():
 
         def stabiliser(r, symmetry=symmetry):
             nonlocal carried
-            perms = symmetry.stabiliser(r)
+            group = symmetry.fix(r)
+            perms = group.elements if group else ()
             carried += bool(perms)
             return perms
 
@@ -522,17 +523,16 @@ def test_stabiliser_element_that_moves_its_point_or_an_orbit_raises():
 
 
 def test_stabiliser_element_that_is_not_an_automorphism_raises(monkeypatch):
-    # factor maps that fix a by swapping a + 1 and a + 2 of C7, which
-    # breaks adjacency, must not build a stabiliser, under python -O too
+    # a factor group that swaps 1 and 2 of C7, which breaks adjacency, must
+    # not build a symmetry, under python -O too
     import semitotal.graphs
 
-    def maps(n, shift, reversal, a, b):
-        perm = list(range(n))
-        i, j = (a + 1) % n, (a + 2) % n
-        perm[i], perm[j] = j, i
-        return [tuple(range(n)), tuple(perm)] if a == b else []
+    def group(g):
+        perm = list(range(g.n))
+        perm[1], perm[2] = 2, 1
+        return [tuple(range(g.n)), tuple(perm)]
 
-    monkeypatch.setattr(semitotal.graphs, "_dihedral_maps", maps)
+    monkeypatch.setattr(semitotal.graphs, "_factor_group", group)
     prod = cartesian_product(generate("cycle", 7), generate("cycle", 7))
     with pytest.raises(AssertionError, match="non-automorphism"):
         solve_bnb(prod.graph, "gamma_t2", symmetry=product_symmetry(prod))
@@ -643,12 +643,17 @@ def test_one_symmetry_builds_each_stabiliser_once():
 
     def counting(r):
         builds[r] += 1
-        return builder.stabiliser(r)
+        group = builder.fix(r)
+        return group.elements if group else ()
 
     symmetry = Symmetry(builder.orbits, counting)
     minimum = solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry).witness
     lexleast_min_semitotal_set(prod.graph, minimum=minimum, symmetry=symmetry)
     assert builds and set(builds.values()) == {1}, builds
+    # and every later call returns the group the first one made
+    n = prod.graph.n
+    assert all(s.fix(r) is s.fix(r) for s in (builder, symmetry) for r in range(n))
+    assert len(builds) == n and set(builds.values()) == {1}, builds
 
 
 def _search_calls(fn, *args, **kwargs):
