@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--csv", help="CSV output path (default: --out with .csv)")
     scan_p.add_argument("--no-replay", action="store_true", help="skip the proof replay")
     scan_p.add_argument("--product-cap", type=int, help="skip products larger than this")
-    scan_p.add_argument("--workers", type=int, help="worker processes (default: cpu count)")
+    scan_p.add_argument(
+        "--workers", type=int, help="worker processes (default: the CPUs this process may run on)"
+    )
     scan_p.add_argument("--threshold-num", type=int, default=1, help="ratio threshold numerator")
     scan_p.add_argument("--threshold-den", type=int, default=2, help="ratio threshold denominator")
     scan_p.set_defaults(func=_cmd_scan)

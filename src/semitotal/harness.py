@@ -10,10 +10,10 @@ factors, the product set, the cell partition) to replay outside the scan.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from math import ceil
+from typing import get_args
 
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, VertexSet, cartesian_product, product_symmetry
@@ -48,7 +48,7 @@ class ScanOptions:
 
     replay: bool = True
     product_cap: int | None = None  # None: 36 with replay, 49 without
-    workers: int | None = None  # None: cpu count
+    workers: int | None = None  # None: the CPUs this process may run on
 
     def effective_cap(self) -> int:
         if self.product_cap is not None:
@@ -58,6 +58,8 @@ class ScanOptions:
     def effective_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
+        if hasattr(os, "sched_getaffinity"):  # a cpuset or taskset may hide host CPUs
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 
@@ -112,26 +114,29 @@ class InstanceRecord:
         for f in fields(cls):
             key = _JSON_KEYS[f.name]
             if f.default is MISSING and f.default_factory is MISSING:
-                values[f.name] = data[key]
+                value = data[key]
             elif f.name in _CONTAINER_FIELDS:
-                kind = _CONTAINER_FIELDS[f.name]
-                value = data.get(key, kind())
-                if not isinstance(value, kind):
-                    json_kind = "object" if kind is dict else "list"
-                    found = type(value).__name__
-                    raise ValueError(f"holds {key!r} as {found}, not a JSON {json_kind}")
-                values[f.name] = kind(value)
+                value = data.get(key, _CONTAINER_FIELDS[f.name]())
             else:
-                values[f.name] = data.get(key)
+                value = data.get(key)
+            # the exact type, so that a JSON true is not read as an integer
+            allowed = get_args(f.type) or (f.type,)
+            if type(value) not in allowed:
+                wanted = " or ".join(_JSON_NAMES[kind] for kind in allowed)
+                raise ValueError(f"holds {key!r} as {type(value).__name__}, not a JSON {wanted}")
+            values[f.name] = f.type(value) if f.name in _CONTAINER_FIELDS else value
         return cls(**values)
 
 
 # JSON key of each record field, in field order; fields without a default
-# are required when reading.  Container fields are copied both ways, read
-# as empty when absent, and must hold a JSON object (dict) or list (list).
+# are required when reading, and every value must have its field's type.
+# Container fields are copied both ways and read as empty when absent.
 _RENAMED_KEYS = {"gamma_t2_g": "gamma_t2_G", "gamma_t2_h": "gamma_t2_H", "rho_g": "rho_G"}
 _JSON_KEYS = {f.name: _RENAMED_KEYS.get(f.name, f.name) for f in fields(InstanceRecord)}
-_CONTAINER_FIELDS = {"replay": dict, "findings": list, "timing": dict}
+_CONTAINER_FIELDS = {f.name: f.type for f in fields(InstanceRecord) if f.type in (dict, list)}
+_JSON_NAMES = {
+    str: "string", int: "integer", bool: "boolean", dict: "object", list: "list", type(None): "null"
+}
 
 
 def _finding(
@@ -366,13 +371,16 @@ def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
         for (lid, g6g) in spec.left
         for (rid, g6h) in spec.right
     ]
-    workers = options.effective_workers()
-    records: list[InstanceRecord] = []
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records.extend(pool.map(_pair_task, tasks, chunksize=8))
+    workers = min(options.effective_workers(), len(tasks))
+    if workers <= 1:
+        records = list(map(_pair_task, tasks))
     else:
-        records.extend(map(_pair_task, tasks))
+        # imported here: the pool's modules are most of the package's import
+        # time, and a serial process never uses them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_pair_task, tasks, chunksize=8))
     return summarize(records)
 
 

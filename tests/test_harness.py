@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -422,6 +424,40 @@ def test_scan_parallel_equals_serial(tmp_path):
     write_jsonl(serial, scan(spec, options()).records)
     write_jsonl(parallel, scan(spec, ScanOptions(workers=2)).records)
     assert comparison_form(serial) == comparison_form(parallel)
+
+
+@pytest.mark.parametrize("spec_text,started", [("path:2 x paths:2-3", [2]), ("path:2 x path:3", [])])
+def test_scan_starts_no_more_workers_than_pairs(monkeypatch, spec_text, started):
+    class PoolSpy:
+        """Records the workers a scan asks for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started_here.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    started_here = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
+    spec = parse_pair_spec(spec_text)
+    summary = scan(spec, ScanOptions(workers=6, replay=False))
+    assert started_here == started
+    assert summary.total == len(spec.left) * len(spec.right)
+
+
+def test_default_workers_count_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ScanOptions().effective_workers() == 1
+    assert ScanOptions(workers=3).effective_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+    assert ScanOptions().effective_workers() == 64
 
 
 @pytest.mark.parametrize(

@@ -169,10 +169,23 @@ def _record_line(**fields):
         (_record_line(replay=[["a", "b"]]), "line 2 holds 'replay' as list, not a JSON object"),
         (_record_line(findings="ab"), "line 2 holds 'findings' as str, not a JSON list"),
         (_record_line(timing=None), "line 2 holds 'timing' as NoneType, not a JSON object"),
+        (_record_line(n_g="two"), "line 2 holds 'n_g' as str, not a JSON integer"),
+        (_record_line(n_h=[2]), "line 2 holds 'n_h' as list, not a JSON integer"),
+        (
+            _record_line(gamma_t2_prod="x"),
+            "line 2 holds 'gamma_t2_prod' as str, not a JSON integer or null",
+        ),
+        (_record_line(n_g=True), "line 2 holds 'n_g' as bool, not a JSON integer"),
+        (
+            _record_line(bound_thm1_ok=3),
+            "line 2 holds 'bound_thm1_ok' as int, not a JSON boolean or null",
+        ),
+        (_record_line(id=5), "line 2 holds 'id' as int, not a JSON string"),
     ],
     ids=[
         "list", "number", "missing-key", "not-json", "replay-number", "replay-pairs",
-        "findings-string", "timing-null",
+        "findings-string", "timing-null", "n-string", "n-list", "value-string", "n-bool",
+        "flag-number", "id-number",
     ],
 )
 def test_jsonl_rejects_a_record_line_that_is_not_a_record(tmp_path, line, message):
