@@ -7,9 +7,8 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
 ``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
 product that the searches read (``product_symmetry``, a checked
-``Symmetry``): orbits of the group A that each factor's shift, reversal and
-twin swaps generate, and point stabilisers in its subgroup B that the shift
-and reversal generate, which ``_factor_group`` lists.
+``Symmetry``): the orbits and point stabilisers of the group that each
+factor's shift and reversal generate, which ``_factor_group`` lists.
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
@@ -324,14 +323,14 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
 
 def _factor_group(g: Graph) -> list[tuple[int, ...]]:
     """The elements, as tuples p with p[v] the image of v, the identity
-    first, of the group B that the shift v -> v + 1 (mod n) and the
+    first, of the group that the shift v -> v + 1 (mod n) and the
     reversal v -> n - 1 - v generate where they preserve g's adjacency.  A
     graph that the shift preserves is a circulant, whose connection set is
     closed under negation, so the reflections v -> s - v (mod n) preserve
-    it too: B is then dihedral, the n rotations and, for n > 2, the n
-    reflections (for n <= 2 they are rotations).  Otherwise B is
+    it too: the group is then dihedral, the n rotations and, for n > 2, the
+    n reflections (for n <= 2 they are rotations).  Otherwise it is
     {identity, reversal} where the reversal preserves g, else the identity
-    alone.  B is all of Aut(C_n) and Aut(P_n) for the cycles and paths of
+    alone.  It is all of Aut(C_n) and Aut(P_n) for the cycles and paths of
     ``generate``, and a subgroup of Aut(g) for any g; ``product_symmetry``
     checks its elements."""
     n = g.n
@@ -347,73 +346,30 @@ def _factor_group(g: Graph) -> list[tuple[int, ...]]:
     return [identity]
 
 
-def _twin_cycles(rows: tuple[int, ...]) -> list[int] | None:
-    """The permutation that cycles each class of vertices with equal
-    ``rows`` (open or closed neighbourhoods: twins) through its members,
-    in order, or None when the rows are distinct.  A twin has the
-    neighbours of the vertex it replaces, so this preserves adjacency."""
-    twins: dict[int, list[int]] = {}
-    for v, row in enumerate(rows):
-        twins.setdefault(row, []).append(v)
-    if len(twins) == len(rows):
-        return None
-    perm = list(range(len(rows)))
-    for members in twins.values():
-        for u, v in zip(members, members[1:] + members[:1]):
-            perm[u] = v
-    return perm
-
-
-def _factor_orbits(g: Graph, group: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """The orbits, as vertex masks in order of least vertex, of the group A
-    of automorphisms of g that these generate:
-
-    - the elements of ``group``, g's group B (``_factor_group``), which
-      ``product_symmetry`` has checked;
-    - one cycle through each class of open twins (same neighbourhood) and
-      one through each class of closed twins (same closed neighbourhood),
-      each checked here before it merges, with a raise.
-
-    A's orbits lie inside Aut(g)'s and equal them on the cycles, complete
-    graphs, paths and stars of ``generate``; elsewhere they may be finer,
-    which costs the product solve branches, not values.
-    """
-    orbit_of = [1 << v for v in range(g.n)]  # each vertex's class so far
-
-    def merge(perm: Sequence[int]) -> None:
-        for v, w in enumerate(perm):
-            if not orbit_of[v] >> w & 1:
-                merged = orbit_of[v] | orbit_of[w]
-                for u in _bits(merged):
-                    orbit_of[u] = merged
-
-    for perm in group:
-        merge(perm)
-    for rows in (g.adj, g.closed):
-        perm = _twin_cycles(rows)
-        if perm is None:
-            continue
-        if not _is_automorphism(g.adj, perm):
-            raise AssertionError(f"orbit merge by a non-automorphism {perm}")
-        merge(perm)
-    return tuple(dict.fromkeys(orbit_of))  # first seen at its least vertex
+def _factor_orbits(group: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The orbits, as vertex masks in order of least vertex, of the group
+    that ``group`` lists in full, the identity first (``_factor_group``):
+    v's orbit is {p[v] for p in group}.  On stars, among others, they are
+    finer than Aut's, which costs the product solve branches, not values."""
+    whole = PermGroup(group[1:])  # the identity comes first
+    return tuple(dict.fromkeys(whole.orbit(v) for v in range(len(group[0]))))
 
 
 class Symmetry:
-    """A group A of automorphisms of a graph, checked once, as the searches
+    """A group of automorphisms of a graph, checked once, as the searches
     read it (``solvers`` says why orbits keep the value): ``orbit(v)``, v's
-    orbit under A as a vertex mask, and ``fix(r)``, the stabiliser of r in
-    a subgroup B of A as a ``PermGroup``, or None when it holds the
-    identity alone, as in ``PermGroup.fix``: None is the trivial group.
+    orbit as a vertex mask, and ``fix(r)``, the stabiliser of r as a
+    ``PermGroup``, or None when it holds the identity alone, as in
+    ``PermGroup.fix``: None is the trivial group.
 
-    ``orbits`` holds A's orbits as disjoint vertex masks that cover 0..n-1,
-    which the constructor checks (``ValueError``), setting ``n``.  The
-    builder ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the
-    image of v, every element but the identity of the stabiliser of r in
-    B, so that its images of a vertex are that vertex's orbit.  The first
+    ``orbits`` holds the group's orbits as disjoint vertex masks that cover
+    0..n-1, which the constructor checks (``ValueError``), setting ``n``.
+    The builder ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the
+    image of v, every element but the identity of the stabiliser of r, so
+    that its images of a vertex are that vertex's orbit.  The first
     ``fix(r)`` calls it and checks each element (``AssertionError``): it
-    must fix r and keep every orbit of A, so that every union of A's orbits
-    stays invariant under the groups below.  Later calls return the same
+    must fix r and keep every orbit, so that every union of orbits stays
+    invariant under the groups below.  Later calls return the same
     group.  That the elements preserve adjacency is checked where they are
     built (``product_symmetry`` checks its factor groups), at the factors'
     cost, not the graph's.
@@ -475,24 +431,22 @@ class PermGroup:
 def product_symmetry(prod: ProductGraph) -> Symmetry:
     """The symmetry of G x H that ``solve_bnb`` reads for a product.
 
-    Each factor's group B (``_factor_group``) holds the rotations and
+    Each factor's group (``_factor_group``) holds the rotations and
     reflections that its shift and reversal generate, where they preserve
-    adjacency: at most 2n permutations, listed once per factor.  Orbits:
-    those of A = A_G x A_H on the flat indices, with the factor swap
-    (a, b) -> (b, a) when G == H, where each factor's A is generated by its
-    B and twin swaps (``_factor_orbits``); cell (i, j) holds the vertices
-    whose coordinates lie in the i-th orbit of G and the j-th of H.
-    Stabilisers: in B_G x B_H, with the swap when G == H.  Both are
-    subgroups of Aut(G x H) (Hammack, Imrich and Klavzar, *Handbook of
-    Product Graphs*, 2011): (phi, psi) preserves the product's adjacency
-    exactly when phi preserves G's and psi H's.  So every element of each
-    factor's B but the identity is checked against its factor's adjacency
-    here, once, with a raise; that costs the factor's edges, not the
-    product's.  Each stabiliser is built by its first ``fix`` call from the
-    pairs of factor elements that fix or swap its coordinates, so a solve
-    pays only for the root branches it searches, and ``Symmetry`` keeps it
-    for later reads: ``verify_pair`` hands one symmetry to the product
-    solve and to lexleast.
+    adjacency: at most 2n permutations, listed once per factor.  The
+    product's group is theirs acting coordinatewise, with the factor swap
+    (a, b) -> (b, a) when G == H: a subgroup of Aut(G x H) (Hammack, Imrich
+    and Klavzar, *Handbook of Product Graphs*, 2011), since (phi, psi)
+    preserves the product's adjacency exactly when phi preserves G's and psi
+    H's.  So each factor element but the identity is checked against its
+    factor's adjacency here, once, with a raise; that costs the factor's
+    edges, not the product's.  Orbits: cell (i, j) holds the vertices whose
+    coordinates lie in the i-th orbit of G's group (``_factor_orbits``) and
+    the j-th of H's; the swap joins cells (i, j) and (j, i).  Each
+    stabiliser is built by its first ``fix`` call from the pairs of factor
+    elements that fix or swap its coordinates, so a solve pays only for the
+    root branches it searches, and ``Symmetry`` keeps it for later reads:
+    ``verify_pair`` hands one symmetry to the product solve and to lexleast.
     """
     g, h = prod.left, prod.right
     same = g == h
@@ -503,8 +457,8 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
         for perm in group[1:]:  # the identity comes first
             if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
                 raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
-    left = _factor_orbits(g, group_g)
-    right = left if same else _factor_orbits(h, group_h)
+    left = _factor_orbits(group_g)
+    right = left if same else _factor_orbits(group_h)
     # col_masks[0] holds one bit per row, so the product copies an orbit of
     # H into every row
     cols = [orbit * prod.col_masks[0] for orbit in right]

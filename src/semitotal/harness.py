@@ -379,8 +379,11 @@ def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
         # time, and a serial process never uses them
         from concurrent.futures import ProcessPoolExecutor
 
+        # at least two chunks per worker, so that a short grid still
+        # reaches every worker
+        chunksize = min(8, ceil(len(tasks) / (2 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pair_task, tasks, chunksize=8))
+            records = list(pool.map(_pair_task, tasks, chunksize=chunksize))
     return summarize(records)
 
 

@@ -241,8 +241,9 @@ def comparison_form(path: str | Path) -> bytes:
     """Byte form of a JSONL file with the timing fields dropped, for
     determinism comparisons."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        obj = json.loads(line)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        obj = _json_object(path, number, line)
         obj.pop("timing", None)
         out.append(_dump(obj))
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -47,9 +47,9 @@ every k in K maps R onto itself and keeps sizes.
   that contains v; so v's whole orbit can join X, which keeps R's minimum
   sets and keeps X K-invariant.
 
-At the root C and X are empty and K = A, the symmetry's group; below it
-each group is a stabiliser in its subgroup B, whose checked elements keep
-A's orbits.  Either use keeps the minimum and whether a set within budget
+At the root C and X are empty and K is the symmetry's group; below it
+each group is a stabiliser in it, whose checked elements keep the group's
+orbits.  Either use keeps the minimum and whether a set within budget
 exists, not the witness: a group moves the search to other sets.  So
 lexleast, which reads only its probes' answers, gives them groups, and the
 enumeration, which must reach every set, takes none.
@@ -429,7 +429,7 @@ def lexleast_min_semitotal_set(
     bars v alone, and ``barred`` is the plain scan's excluded set.
 
     With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
-    under a group K: the symmetry's A while C is empty, then ``fix`` of
+    under a group K: the symmetry's group while C is empty, then ``fix`` of
     each locked vertex in turn, so that K fixes C.  Every union of orbits
     of K is one of each group below it, so K keeps ``barred``, and barring
     an orbit keeps F (module docstring, barring); a lock only shrinks F and
@@ -511,20 +511,20 @@ def _max_two_packing_bnb(g: Graph) -> int:
 def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> InvariantResult:
     """Fast exact solver; value always matches the oracle, witness validates.
 
-    ``symmetry``, for the domination kinds, describes a group A of
+    ``symmetry``, for the domination kinds, describes a group of
     automorphisms of g: its orbits, disjoint vertex masks covering g, and
-    the point stabilisers of a subgroup B of A (``graphs.product_symmetry``
-    builds one for a product: A from each factor's shift, reversal and twin
-    swaps, B from its shift and reversal).  The search then branches over
-    A's orbits at the root and over stabilisers' orbits below it
-    (``_search_kernel``), which keeps the value (module docstring).  The
-    witness may be another minimum set than the plain search's; singleton
-    orbits and empty stabilisers give the plain search's witness.  A
-    symmetry of another order than g's raises ``ValueError``, as do, in
-    ``Symmetry``, orbits that do not partition the vertices; a stabiliser
-    element that moves its point or an orbit raises ``AssertionError``, as
-    does, in ``product_symmetry``, one built from a permutation that is not
-    a factor automorphism.  The symmetry is ignored for rho.
+    its point stabilisers (``graphs.product_symmetry`` builds one for a
+    product from each factor's shift and reversal).  The search then
+    branches over the group's orbits at the root and over stabilisers'
+    orbits below it (``_search_kernel``), which keeps the value (module
+    docstring).  The witness may be another minimum set than the plain
+    search's; singleton orbits and empty stabilisers give the plain
+    search's witness.  A symmetry of another order than g's raises
+    ``ValueError``, as do, in ``Symmetry``, orbits that do not partition
+    the vertices; a stabiliser element that moves its point or an orbit
+    raises ``AssertionError``, as does, in ``product_symmetry``, one built
+    from a permutation that is not a factor automorphism.  The symmetry is
+    ignored for rho.
     """
     _check_kind(kind)
     _check_symmetry(g, symmetry)

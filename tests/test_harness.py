@@ -143,6 +143,37 @@ def test_verify_pair_builds_each_stabiliser_once(monkeypatch):
     assert builds and set(builds.values()) == {1}, builds
 
 
+def test_verify_pair_records_do_not_depend_on_the_product_symmetry(monkeypatch):
+    # orbits keep the product's value and lexleast's set, so the record made
+    # with the product symmetry is the one made with the trivial group:
+    # every connected catalog graph on 3-5 vertices x P2, P3 and C3
+    import semitotal.harness
+    from semitotal.catalog import connected_graphs
+    from semitotal.graphs import Symmetry
+
+    pairs = [
+        (g, generate(*right))
+        for n in (3, 4, 5)
+        for g in connected_graphs(n)
+        for right in (("path", 2), ("path", 3), ("cycle", 3))
+    ]
+    assert len(pairs) == 87
+
+    def forms():
+        return [
+            verify_pair(g, h, options(replay=True)).to_json_dict(include_timing=False)
+            for g, h in pairs
+        ]
+
+    with_orbits = forms()
+    monkeypatch.setattr(
+        semitotal.harness,
+        "product_symmetry",
+        lambda prod: Symmetry([1 << v for v in range(prod.graph.n)], lambda r: []),
+    )
+    assert forms() == with_orbits
+
+
 @pytest.mark.parametrize("replay", [False, True])
 def test_verify_pair_solves_the_product_once(monkeypatch, replay):
     # one solve_bnb on the product, in whichever module it is looked up, and
@@ -426,13 +457,24 @@ def test_scan_parallel_equals_serial(tmp_path):
     assert comparison_form(serial) == comparison_form(parallel)
 
 
-@pytest.mark.parametrize("spec_text,started", [("path:2 x paths:2-3", [2]), ("path:2 x path:3", [])])
+@pytest.mark.parametrize(
+    "spec_text,started",
+    [
+        ("path:2 x paths:2-3", [(2, 1)]),
+        ("path:2 x path:3", []),
+        ("paths:2-7 x paths:2-5", [(6, 2)]),
+        ("paths:2-7,cycles:3-7 x paths:2-7,cycles:3-7", [(6, 8)]),
+    ],
+)
 def test_scan_starts_no_more_workers_than_pairs(monkeypatch, spec_text, started):
+    # each started pool as (workers, chunksize): two chunks per worker at
+    # least, so 2 pairs go one to each worker, and at most 8 pairs a chunk
     class PoolSpy:
-        """Records the workers a scan asks for and maps in this process."""
+        """Records the workers and chunk size a scan asks for and maps in
+        this process."""
 
         def __init__(self, max_workers):
-            started_here.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -441,6 +483,7 @@ def test_scan_starts_no_more_workers_than_pairs(monkeypatch, spec_text, started)
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            started_here.append((self.max_workers, chunksize))
             return map(fn, tasks)
 
     started_here = []

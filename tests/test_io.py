@@ -205,6 +205,20 @@ def test_comparison_form_strips_timing(tmp_path):
     assert b"gamma_t2_prod" in form
 
 
+@pytest.mark.parametrize(
+    "lines,number",
+    [(["[1,2]"], 1), (["{bad"], 1), (['{"schema_version": 1}', "[1,2]"], 2),
+     (['{"schema_version": 1}', "{bad"], 2)],
+    ids=["header-list", "header-not-json", "record-list", "record-not-json"],
+)
+def test_comparison_form_rejects_a_line_that_is_not_an_object(tmp_path, lines, number):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.jsonl: line {number} is not a JSON object") as info:
+        comparison_form(path)
+    assert type(info.value) is ValueError
+
+
 def test_csv_columns_fixed(tmp_path):
     summary = run_scan("paths:2-3 x paths:2-3")
     path = tmp_path / "run.csv"
