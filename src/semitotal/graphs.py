@@ -6,16 +6,16 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
 ``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
-product that the searches read (``product_symmetry``, a checked
-``Symmetry``): the orbits and point stabilisers of the group that each
-factor's shift and reversal generate, which ``_factor_group`` lists.
+product that the searches read (``product_symmetry``, a ``Symmetry``):
+the group that each factor's shift and reversal generate, which
+``_factor_group`` lists, with the factor swap when G = H.
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
 
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 INF = math.inf
 
@@ -312,7 +312,7 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
     row of the image vertex."""
     for v, row in enumerate(adj):
         image = 0
-        while row:  # _bits(row) inlined: the orbits and stabilisers call this often
+        while row:  # _bits(row) inlined: each product checks its factors' groups
             low = row & -row
             image |= 1 << perm[low.bit_length() - 1]
             row ^= low
@@ -346,90 +346,61 @@ def _factor_group(g: Graph) -> list[tuple[int, ...]]:
     return [identity]
 
 
-def _factor_orbits(group: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """The orbits, as vertex masks in order of least vertex, of the group
-    that ``group`` lists in full, the identity first (``_factor_group``):
-    v's orbit is {p[v] for p in group}.  On stars, among others, they are
-    finer than Aut's, which costs the product solve branches, not values."""
-    whole = PermGroup(group[1:])  # the identity comes first
-    return tuple(dict.fromkeys(whole.orbit(v) for v in range(len(group[0]))))
-
-
 class Symmetry:
-    """A group of automorphisms of a graph, checked once, as the searches
-    read it (``solvers`` says why orbits keep the value): ``orbit(v)``, v's
-    orbit as a vertex mask, and ``fix(r)``, the stabiliser of r as a
-    ``PermGroup``, or None when it holds the identity alone, as in
-    ``PermGroup.fix``: None is the trivial group.
+    """A group of automorphisms of a product G x H, as the searches read it
+    (``solvers`` says why orbits keep the value): ``orbit(v)``, v's orbit
+    as a vertex mask, and ``fix(v)``, the subgroup that fixes v, or None
+    when it holds the identity alone: None is the trivial group.
 
-    ``orbits`` holds the group's orbits as disjoint vertex masks that cover
-    0..n-1, which the constructor checks (``ValueError``), setting ``n``.
-    The builder ``stabiliser(r)`` lists, as tuples ``p`` with ``p[v]`` the
-    image of v, every element but the identity of the stabiliser of r, so
-    that its images of a vertex are that vertex's orbit.  The first
-    ``fix(r)`` calls it and checks each element (``AssertionError``): it
-    must fix r and keep every orbit, so that every union of orbits stays
-    invariant under the groups below.  Later calls return the same
-    group.  That the elements preserve adjacency is checked where they are
-    built (``product_symmetry`` checks its factor groups), at the factors'
-    cost, not the graph's.
+    ``elements`` lists the group but for its identity, each element a
+    triple ``(phi, psi, swap)``: tuples with ``phi[x]`` the image of G's
+    vertex x and ``psi[y]`` that of H's vertex y, and a flag.  It maps
+    (x, y) to (phi[x], psi[y]), or with ``swap`` set, the factor swap
+    after that, to (psi[y], phi[x]).  Orbits and stabilisers are read off
+    this one list, so they are the group's by construction: v's orbit is v
+    with its images, and ``fix(v)`` keeps the elements that map v to
+    itself.  The constructor checks each element's shape (``ValueError``);
+    that the list is a whole group of automorphisms is checked where it
+    is built (``product_symmetry`` checks each factor's elements), at the
+    factors' cost, not the product's.
     """
 
-    __slots__ = ("orbits", "n", "_orbit_of", "_build", "_fixed")
+    __slots__ = ("n_g", "n_h", "n", "elements")
 
-    def __init__(self, orbits: Iterable[int], stabiliser: Callable[[int], Sequence[tuple]]):
-        self.orbits = orbits = tuple(orbits)
-        union = 0
-        for orbit in orbits:
-            union |= orbit
-        self.n = n = union.bit_length()
-        if union != (1 << n) - 1 or sum(o.bit_count() for o in orbits) != n:
-            raise ValueError("orbits must be disjoint vertex masks that cover 0..n-1")
-        self._orbit_of = [0] * n
-        for orbit in orbits:
-            for w in _bits(orbit):
-                self._orbit_of[w] = orbit
-        self._build = stabiliser
-        self._fixed: dict[int, PermGroup | None] = {}  # r -> its checked stabiliser
+    def __init__(self, n_g: int, n_h: int, elements: Iterable[tuple[tuple, tuple, bool]]):
+        self.elements = elements = list(elements)
+        for phi, psi, swap in elements:
+            if len(phi) != n_g or len(psi) != n_h:
+                raise ValueError(
+                    f"element on {len(phi)} and {len(psi)} vertices of a {n_g}x{n_h} product"
+                )
+            if swap and n_g != n_h:
+                raise ValueError(f"swap on a {n_g}x{n_h} product, whose factors differ in order")
+        self.n_g, self.n_h, self.n = n_g, n_h, n_g * n_h
 
-    def orbit(self, v: int) -> int:
-        return self._orbit_of[v]
-
-    def fix(self, r: int) -> "PermGroup | None":
-        if r not in self._fixed:
-            perms = tuple(self._build(r))
-            orbit_of = self._orbit_of
-            for p in perms:
-                if p[r] != r or [orbit_of[w] for w in p] != orbit_of:
-                    raise AssertionError(f"stabiliser of {r} holds {p}, which moves {r} or an orbit")
-            self._fixed[r] = PermGroup(perms) if perms else None
-        return self._fixed[r]
-
-
-class PermGroup:
-    """A group given by its elements other than the identity, as tuples p
-    with p[v] the image of v, a whole group but for the identity, so that
-    v's images are its orbit: ``orbit(v)`` as a vertex mask, and
-    ``fix(v)``, the elements that fix v, or None when none does."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Sequence[tuple[int, ...]]):
-        self.elements = elements
+    def _images(self, v: int) -> list[int]:
+        """v's image under each element, in list order."""
+        n_h = self.n_h
+        x, y = divmod(v, n_h)
+        return [
+            psi[y] * n_h + phi[x] if swap else phi[x] * n_h + psi[y]
+            for phi, psi, swap in self.elements
+        ]
 
     def orbit(self, v: int) -> int:
         mask = 1 << v
-        for p in self.elements:
-            mask |= 1 << p[v]
+        for w in self._images(v):
+            mask |= 1 << w
         return mask
 
-    def fix(self, v: int) -> "PermGroup | None":
-        kept = [p for p in self.elements if p[v] == v]
-        return PermGroup(kept) if kept else None
+    def fix(self, v: int) -> "Symmetry | None":
+        kept = [e for e, w in zip(self.elements, self._images(v)) if w == v]
+        return Symmetry(self.n_g, self.n_h, kept) if kept else None
 
 
-def product_symmetry(prod: ProductGraph) -> Symmetry:
-    """The symmetry of G x H that ``solve_bnb`` reads for a product.
+def product_symmetry(prod: ProductGraph) -> Symmetry | None:
+    """The symmetry of G x H that ``solve_bnb`` reads for a product, None
+    when it is the trivial group.
 
     Each factor's group (``_factor_group``) holds the rotations and
     reflections that its shift and reversal generate, where they preserve
@@ -440,13 +411,9 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
     preserves the product's adjacency exactly when phi preserves G's and psi
     H's.  So each factor element but the identity is checked against its
     factor's adjacency here, once, with a raise; that costs the factor's
-    edges, not the product's.  Orbits: cell (i, j) holds the vertices whose
-    coordinates lie in the i-th orbit of G's group (``_factor_orbits``) and
-    the j-th of H's; the swap joins cells (i, j) and (j, i).  Each
-    stabiliser is built by its first ``fix`` call from the pairs of factor
-    elements that fix or swap its coordinates, so a solve pays only for the
-    root branches it searches, and ``Symmetry`` keeps it for later reads:
-    ``verify_pair`` hands one symmetry to the product solve and to lexleast.
+    edges, not the product's.  The group is then listed as its pairs of
+    factor elements (``Symmetry``), at most 8 n_g n_h of them, each holding
+    the factors' own tuples.
     """
     g, h = prod.left, prod.right
     same = g == h
@@ -457,34 +424,11 @@ def product_symmetry(prod: ProductGraph) -> Symmetry:
         for perm in group[1:]:  # the identity comes first
             if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
                 raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
-    left = _factor_orbits(group_g)
-    right = left if same else _factor_orbits(group_h)
-    # col_masks[0] holds one bit per row, so the product copies an orbit of
-    # H into every row
-    cols = [orbit * prod.col_masks[0] for orbit in right]
-    cells = [[prod.rows(a) & col for col in cols] for a in left]
-    if same:  # the swap maps cell (i, j) onto (j, i)
-        k = len(left)
-        orbits = tuple(cells[i][j] | cells[j][i] for i in range(k) for j in range(i, k))
-    else:
-        orbits = tuple(cell for row in cells for cell in row)
-    n_h = prod.n_h
-
-    def stabiliser(r: int) -> list[tuple[int, ...]]:
-        a, b = prod.decode(r)
-        # (phi, psi) maps (x, y) to (phi[x], psi[y]); both groups list the
-        # identity first, so the first pair is the identity
-        fixing = [(phi, psi) for phi in group_g if phi[a] == a for psi in group_h if psi[b] == b]
-        perms = [tuple([x * n_h + y for x in phi for y in psi]) for phi, psi in fixing[1:]]
-        if same:  # the swap after (phi, psi) maps (x, y) to (psi[y], phi[x])
-            perms += [
-                tuple([y * n_h + x for x in phi for y in psi])
-                for phi in group_g if phi[a] == b
-                for psi in group_h if psi[b] == a
-            ]
-        return perms
-
-    return Symmetry(orbits, stabiliser)
+    # both groups list the identity first, so the first pair is the identity
+    elements = [(phi, psi, False) for phi in group_g for psi in group_h][1:]
+    if same and g.n > 1:  # on one vertex the swap is the identity
+        elements += [(phi, psi, True) for phi in group_g for psi in group_h]
+    return Symmetry(g.n, h.n, elements) if elements else None
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:

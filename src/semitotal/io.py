@@ -223,8 +223,9 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[InstanceRecord]]:
     if not lines:
         raise ValueError(f"{path}: empty record file")
     header = _json_object(path, 1, lines[0])
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema version {header.get('schema_version')}")
+    version = header.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # JSON true and 1.0 equal 1
+        raise ValueError(f"{path}: unsupported schema version {version!r}")
     records = []
     for number, line in enumerate(lines[1:], start=2):
         data = _json_object(path, number, line)

@@ -25,10 +25,10 @@ search.
 Why orbits keep the value (orbital branching: Ostrowski, Linderoth, Rossi
 and Smriglio, "Orbital branching", Math. Program. 126, 2011).  A group K
 is read through ``orbit(v)``, v's orbit under K as a vertex mask, and
-``fix(v)``, the subgroup fixing v (``graphs.Symmetry`` and
-``graphs.PermGroup``).  Let R be the sets of one kind that contain a set C
-and avoid a set X, and let K fix C pointwise and map X onto itself; then
-every k in K maps R onto itself and keeps sizes.
+``fix(v)``, the subgroup fixing v, both read off the list of K's elements
+(``graphs.Symmetry``).  Let R be the sets of one kind that contain a set
+C and avoid a set X, and let K fix C pointwise and map X onto itself;
+then every k in K maps R onto itself and keeps sizes.
 
 - Branching (``_search_kernel``).  Every set of R meets the node's
   candidates, which it takes in order, skipping each in the orbit O_i of
@@ -48,17 +48,18 @@ every k in K maps R onto itself and keeps sizes.
   sets and keeps X K-invariant.
 
 At the root C and X are empty and K is the symmetry's group; below it
-each group is a stabiliser in it, whose checked elements keep the group's
-orbits.  Either use keeps the minimum and whether a set within budget
-exists, not the witness: a group moves the search to other sets.  So
-lexleast, which reads only its probes' answers, gives them groups, and the
-enumeration, which must reach every set, takes none.
+each group is a stabiliser in it, the sub-list of its elements that fix
+a point, so every union of the group's orbits is one of the stabiliser's.
+Either use keeps the minimum and whether a set within budget exists, not
+the witness: a group moves the search to other sets.  So lexleast, which
+reads only its probes' answers, gives them groups, and the enumeration,
+which must reach every set, takes none.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, PermGroup, Symmetry, VertexSet, _bits
+from .graphs import Graph, Symmetry, VertexSet, _bits
 
 KINDS = ("gamma", "gamma_t", "gamma_t2", "rho")
 
@@ -99,7 +100,7 @@ def _check_set(g: Graph, s: VertexSet) -> int:
 
 def _check_symmetry(g: Graph, symmetry: Symmetry | None) -> None:
     if symmetry is not None and symmetry.n != g.n:
-        raise ValueError(f"symmetry's orbits cover {symmetry.n} vertices, the graph has {g.n}")
+        raise ValueError(f"symmetry acts on {symmetry.n} vertices, the graph has {g.n}")
 
 
 def _dominating_mask(g: Graph, mask: int) -> bool:
@@ -265,7 +266,7 @@ def _search_kernel(
     chosen0: int = 0,
     excluded0: int = 0,
     collect: list | None = None,
-    group: Symmetry | PermGroup | None = None,
+    group: Symmetry | None = None,
 ) -> int | None:
     """Branch and bound over coverage, with partner repair for gamma_t2.
 
@@ -310,12 +311,12 @@ def _search_kernel(
     sequence, the first feasible leaf and the collected sets do not depend
     on how strong they are.
 
-    ``group``, a ``graphs.Symmetry`` or ``graphs.PermGroup`` that fixes
-    ``chosen0`` and keeps ``excluded0``, is the root's; a node with a
-    group, the root included, takes one child per orbit of it among its
-    candidates, skips a candidate in the orbit of an earlier one, and gives
-    the child for v the group ``fix(v)``, None when nothing but the
-    identity fixes v.  None is the trivial group.  A group keeps the
+    ``group``, a ``graphs.Symmetry`` that fixes ``chosen0`` and keeps
+    ``excluded0``, is the root's; a node with a group, the root included,
+    takes one child per orbit of it among its candidates, skips a
+    candidate in the orbit of an earlier one, and gives the child for v
+    the group ``fix(v)``, None when nothing but the identity fixes v.
+    None is the trivial group.  A group keeps the
     minimum in optimise mode and the answer in budgeted-feasible mode, not
     the witness (module docstring), so both take one; ``collect``, which
     must reach every set, takes none.
@@ -429,8 +430,9 @@ def lexleast_min_semitotal_set(
     bars v alone, and ``barred`` is the plain scan's excluded set.
 
     With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
-    under a group K: the symmetry's group while C is empty, then ``fix`` of
-    each locked vertex in turn, so that K fixes C.  Every union of orbits
+    under a group K, a ``graphs.Symmetry``: the symmetry's group while C
+    is empty, then ``fix`` of each locked vertex in turn, the sub-list of
+    K's elements that fix it, so that K fixes C.  Every union of orbits
     of K is one of each group below it, so K keeps ``barred``, and barring
     an orbit keeps F (module docstring, barring); a lock only shrinks F and
     K.  The probe for v searches with K's subgroup ``fix(v)``, which fixes
@@ -511,20 +513,18 @@ def _max_two_packing_bnb(g: Graph) -> int:
 def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> InvariantResult:
     """Fast exact solver; value always matches the oracle, witness validates.
 
-    ``symmetry``, for the domination kinds, describes a group of
-    automorphisms of g: its orbits, disjoint vertex masks covering g, and
-    its point stabilisers (``graphs.product_symmetry`` builds one for a
-    product from each factor's shift and reversal).  The search then
-    branches over the group's orbits at the root and over stabilisers'
-    orbits below it (``_search_kernel``), which keeps the value (module
-    docstring).  The witness may be another minimum set than the plain
-    search's; singleton orbits and empty stabilisers give the plain
-    search's witness.  A symmetry of another order than g's raises
-    ``ValueError``, as do, in ``Symmetry``, orbits that do not partition
-    the vertices; a stabiliser element that moves its point or an orbit
-    raises ``AssertionError``, as does, in ``product_symmetry``, one built
-    from a permutation that is not a factor automorphism.  The symmetry is
-    ignored for rho.
+    ``symmetry``, for the domination kinds, is a group of automorphisms of
+    g listed by its elements, a ``graphs.Symmetry``
+    (``graphs.product_symmetry`` builds one for a product from each
+    factor's shift and reversal).  The search then branches over the
+    group's orbits at the root and over stabilisers' orbits below it
+    (``_search_kernel``), which keeps the value (module docstring).  The
+    witness may be another minimum set than the plain search's; a
+    symmetry with no elements gives the plain search's witness.  A
+    symmetry of another order than g's raises ``ValueError``, as does, in
+    ``Symmetry``, an element of the wrong shape; ``product_symmetry``
+    raises ``AssertionError`` for a factor permutation that is not an
+    automorphism.  The symmetry is ignored for rho.
     """
     _check_kind(kind)
     _check_symmetry(g, symmetry)

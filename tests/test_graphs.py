@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from semitotal import (
     INF,
+    Symmetry,
     VertexSet,
     cartesian_product,
     connected_graphs,
@@ -15,7 +16,8 @@ from semitotal import (
     generate,
     product_symmetry,
 )
-from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_group, _factor_orbits
+from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_group
+from symmetry_helpers import product_images, product_orbits
 
 
 def test_from_edge_list_p2():
@@ -207,8 +209,9 @@ def _orbits_of(n, perms):
 
 
 def _orbits(g):
-    """The factor orbits that product_symmetry builds for g."""
-    return _factor_orbits(_factor_group(g))
+    """The orbits of g's factor group, as product_symmetry reads them: G x K1
+    is G, and K1's group holds the identity alone."""
+    return product_orbits(product_symmetry(cartesian_product(g, generate("path", 1))), g.n)
 
 
 def _shift_reversal(g):
@@ -305,7 +308,8 @@ def test_one_product_orbit_exactly_on_cycles_and_complete_graphs(family, n, expe
     # search, exactly when the factor is vertex-transitive
     g = generate(family, n)
     assert (len(_orbits(g)) == 1) is expected
-    assert (len(product_symmetry(cartesian_product(g, g)).orbits) == 1) is expected
+    prod = cartesian_product(g, g)
+    assert (len(product_orbits(product_symmetry(prod), prod.graph.n)) == 1) is expected
 
 
 def test_two_regular_disconnected_factor_is_not_one_orbit():
@@ -314,7 +318,8 @@ def test_two_regular_disconnected_factor_is_not_one_orbit():
     # vertex is its own orbit, and its product with C3 has seven orbits
     c3_c4 = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
     assert _orbits(c3_c4) == tuple(1 << v for v in range(7))
-    assert len(product_symmetry(cartesian_product(c3_c4, generate("cycle", 3))).orbits) == 7
+    prod = cartesian_product(c3_c4, generate("cycle", 3))
+    assert len(product_orbits(product_symmetry(prod), prod.graph.n)) == 7
 
 
 def test_product_orbits_are_the_orbits_of_the_factor_groups():
@@ -338,7 +343,7 @@ def test_product_orbits_are_the_orbits_of_the_factor_groups():
             for p in auts:
                 for v in range(n):
                     assert adj[p[v]] == sum(1 << p[w] for w in range(n) if adj[v] >> w & 1)
-            orbits = product_symmetry(prod).orbits
+            orbits = product_orbits(product_symmetry(prod), n)
             assert sorted(orbits) == sorted(_orbits_of(n, gens))
             assert _inside(orbits, _orbits_of(n, auts))
 
@@ -362,8 +367,8 @@ def _rotation_reflection_group(g):
 
 
 def test_factor_group_is_the_rotation_reflection_group():
-    # every element once and the identity first, which the product's
-    # stabiliser builder relies on; the families at 1-9 vertices cover the
+    # every element once and the identity first, which product_symmetry
+    # relies on to list no identity; the families at 1-9 vertices cover the
     # dihedral case (cycles, complete graphs), the reversal alone (paths,
     # from 3 vertices) and the identity alone (stars from 3 vertices)
     graphs = [generate(family, n) for family in ("path", "complete", "star") for n in range(1, 10)]
@@ -399,8 +404,9 @@ def test_factor_group_is_the_rotation_reflection_group():
 def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, right):
     # the subgroup generated by the factors' shift and reversal, each where
     # it preserves adjacency, acting coordinatewise, with the swap when
-    # G == H; product_symmetry lists its stabiliser of each vertex, the
-    # identity left out, and every element is an automorphism
+    # G == H; product_symmetry lists it, the identity left out, its fix(r)
+    # lists the stabiliser of r and orbit(r) gives r's orbit, and every
+    # element is an automorphism
     g, h = generate(*left), generate(*right)
     prod = cartesian_product(g, h)
     n, adj = prod.graph.n, prod.graph.adj
@@ -413,14 +419,34 @@ def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, rig
         group |= {tuple(p[b * h.n + a] for a in range(g.n) for b in range(h.n)) for p in group}
     identity = tuple(range(n))
     symmetry = product_symmetry(prod)
+    elements = product_images(symmetry)
+    assert len(set(elements)) == len(elements)
+    assert set(elements) == group - {identity}
     for r in range(n):
-        fixed = symmetry.fix(r)
-        stabiliser = fixed.elements if fixed else ()
+        assert symmetry.orbit(r) == sum(1 << w for w in {p[r] for p in group}), r
+        stabiliser = product_images(symmetry.fix(r))
         assert len(set(stabiliser)) == len(stabiliser)
         assert set(stabiliser) == {p for p in group if p[r] == r} - {identity}, r
         for p in stabiliser:
             for w in range(n):
                 assert adj[p[w]] == sum(1 << p[x] for x in range(n) if adj[w] >> x & 1)
+
+
+def test_symmetry_rejects_an_element_of_the_wrong_shape():
+    # an element is a permutation of G's vertices, one of H's and a flag
+    # for the factor swap, which needs factors of one order: anything else
+    # raises ValueError, under python -O too
+    rotate3, rotate4 = (1, 2, 0), (1, 2, 3, 0)
+    assert Symmetry(3, 4, [(rotate3, rotate4, False)]).n == 12
+    identity3 = (0, 1, 2)
+    assert Symmetry(3, 3, [(identity3, identity3, True)]).orbit(1) == 1 << 1 | 1 << 3
+    for element, match in [
+        ((rotate4, rotate4, False), "element on 4 and 4 vertices of a 3x4 product"),
+        ((rotate3, rotate3, False), "element on 3 and 3 vertices of a 3x4 product"),
+        ((rotate3, rotate4, True), "swap on a 3x4 product"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            Symmetry(3, 4, [(rotate3, rotate4, False), element])
 
 
 def test_path_end_to_end_distance():

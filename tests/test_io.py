@@ -135,10 +135,12 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_jsonl_rejects_unknown_schema(tmp_path):
+    # only the JSON integer 1 is version 1: true and 1.0 equal 1 in Python
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"schema_version": 99}\n')
-    with pytest.raises(ValueError, match="schema version"):
-        read_jsonl(path)
+    for version in ("99", "true", "1.0"):
+        path.write_text(f'{{"schema_version": {version}}}\n')
+        with pytest.raises(ValueError, match="unsupported schema version"):
+            read_jsonl(path)
 
 
 @pytest.mark.parametrize(

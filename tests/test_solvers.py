@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -430,7 +429,8 @@ def _family_products(max_order):
 
 
 def _trivial_symmetry(n):
-    return Symmetry(tuple(1 << v for v in range(n)), lambda r: [])
+    """The group of the identity alone on n vertices, listed with no element."""
+    return Symmetry(n, 1, [])
 
 
 def test_orbit_root_keeps_the_value():
@@ -466,6 +466,21 @@ def _mirrored_random(n, seed):
     return from_edge_list(n, edges)
 
 
+class _Carrying(Symmetry):
+    """A symmetry that records each point whose stabiliser, read from it,
+    holds more than the identity."""
+
+    def __init__(self, symmetry):
+        super().__init__(symmetry.n_g, symmetry.n_h, symmetry.elements)
+        self.carried = set()
+
+    def fix(self, r):
+        group = super().fix(r)
+        if group is not None:
+            self.carried.add(r)
+        return group
+
+
 def test_stabiliser_branching_keeps_the_value_off_the_transitive_families():
     # random G x P3 and G x C3, and G x G and G x P3 with G closed under
     # the reversal, on 21 to 36 vertices: no factor but C3 is
@@ -486,40 +501,12 @@ def test_stabiliser_branching_keeps_the_value_off_the_transitive_families():
         prod = cartesian_product(g, h)
         assert 21 <= prod.graph.n <= 36
         symmetry = product_symmetry(prod)
-
-        def stabiliser(r, symmetry=symmetry):
-            nonlocal carried
-            group = symmetry.fix(r)
-            perms = group.elements if group else ()
-            carried += bool(perms)
-            return perms
-
         for kind in ("gamma", "gamma_t", "gamma_t2"):
-            rooted = solve_bnb(prod.graph, kind, symmetry=Symmetry(symmetry.orbits, stabiliser))
+            root = _Carrying(symmetry)
+            rooted = solve_bnb(prod.graph, kind, symmetry=root)
             assert rooted.value == solve_bnb(prod.graph, kind).value, (g.adj, h.adj, kind)
+            carried += len(root.carried)
     assert carried >= 300, carried
-
-
-def test_stabiliser_element_that_moves_its_point_or_an_orbit_raises():
-    # the solver's own check on what a symmetry hands it, under python -O
-    # too: P3 x C7 has two orbits, the rows over P3's ends and the row over
-    # its middle
-    prod = cartesian_product(generate("path", 3), generate("cycle", 7))
-    orbits = product_symmetry(prod).orbits
-    rotate = tuple(x * 7 + (y + 1) % 7 for x in range(3) for y in range(7))
-
-    def swap_across(r):  # a transposition of two vertices in different orbits
-        a, b = (next(v for v in range(21) if v != r and orbit >> v & 1) for orbit in orbits)
-        perm = list(range(21))
-        perm[a], perm[b] = b, a
-        return [tuple(perm)]
-
-    for stabiliser in (lambda r: [rotate], swap_across):
-        symmetry = Symmetry(orbits, stabiliser)
-        with pytest.raises(AssertionError, match="moves"):
-            solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry)
-        with pytest.raises(AssertionError, match="moves"):
-            lexleast_min_semitotal_set(prod.graph, symmetry=symmetry)
 
 
 def test_stabiliser_element_that_is_not_an_automorphism_raises(monkeypatch):
@@ -625,35 +612,14 @@ def test_lexleast_with_a_forced_symmetry_matches_the_oracle():
 
 
 def test_orbit_root_rejects_orbits_that_do_not_partition():
-    # overlapping orbits fail in Symmetry, orbits of another order in the
-    # solve that reads them
+    # a symmetry whose orbits partition another vertex range than the
+    # graph's fails in the solve that reads it
     g = generate("cycle", 4)
-    for orbits in [(0b0111,), (0b0111, 0b1100), (0b0011, 0b1100, 0b10000)]:
+    c3_square = product_symmetry(cartesian_product(generate("cycle", 3), generate("cycle", 3)))
+    for symmetry in [_trivial_symmetry(3), _trivial_symmetry(5), c3_square]:
         for solve in (partial(solve_bnb, g, "gamma_t2"), partial(lexleast_min_semitotal_set, g)):
-            with pytest.raises(ValueError, match="orbits"):
-                solve(symmetry=Symmetry(orbits, lambda r: []))
-
-
-def test_one_symmetry_builds_each_stabiliser_once():
-    # the product solve and then lexleast from its witness read one
-    # symmetry, which calls its builder once per point and keeps the result
-    prod = cartesian_product(generate("cycle", 7), generate("path", 3))
-    builder = product_symmetry(prod)
-    builds = Counter()
-
-    def counting(r):
-        builds[r] += 1
-        group = builder.fix(r)
-        return group.elements if group else ()
-
-    symmetry = Symmetry(builder.orbits, counting)
-    minimum = solve_bnb(prod.graph, "gamma_t2", symmetry=symmetry).witness
-    lexleast_min_semitotal_set(prod.graph, minimum=minimum, symmetry=symmetry)
-    assert builds and set(builds.values()) == {1}, builds
-    # and every later call returns the group the first one made
-    n = prod.graph.n
-    assert all(s.fix(r) is s.fix(r) for s in (builder, symmetry) for r in range(n))
-    assert len(builds) == n and set(builds.values()) == {1}, builds
+            with pytest.raises(ValueError, match=f"acts on {symmetry.n} vertices, the graph has 4"):
+                solve(symmetry=symmetry)
 
 
 def _search_calls(fn, *args, **kwargs):
@@ -753,9 +719,10 @@ def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
 
 def test_solve_bnb_witness_check_survives_optimize_flag():
     # python -O strips assert statements; the witness check, the checks on
-    # stabiliser elements and the check on max_allied_set's set list must
+    # a symmetry's elements and the check on max_allied_set's set list must
     # not be ones
     src = str(Path(semitotal.__file__).resolve().parent.parent)
+    graphs_test = Path(__file__).with_name("test_graphs.py")
     proofs_test = Path(__file__).with_name("test_proofs.py")
     proc = subprocess.run(
         [
@@ -767,7 +734,7 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
             "-p",
             "no:cacheprovider",
             f"{__file__}::test_solve_bnb_rejects_invalid_kernel_witness",
-            f"{__file__}::test_stabiliser_element_that_moves_its_point_or_an_orbit_raises",
+            f"{graphs_test}::test_symmetry_rejects_an_element_of_the_wrong_shape",
             f"{__file__}::test_stabiliser_element_that_is_not_an_automorphism_raises",
             f"{proofs_test}::test_max_allied_set_rejects_empty_set_list",
         ],
