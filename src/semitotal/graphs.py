@@ -8,7 +8,9 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 ``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
 product that the searches read (``product_symmetry``, a ``Symmetry``):
 the group that each factor's shift and reversal generate, which
-``_factor_group`` lists, with the factor swap when G = H.
+``_factor_group`` lists, with the factor swap when G = H, held as
+rectangles of those lists.  A product's adjacency and partner rows are
+assembled from its factors' rows (``cartesian_product``).
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
@@ -128,8 +130,9 @@ class Graph:
     """Simple undirected graph stored as neighbourhood bitmasks.
 
     ``adj[v]`` is the open-neighborhood bitmask of vertex v and ``closed[v]``
-    the closed one; the partner masks are built on first use.  Instances
-    are immutable after construction and safe to share across workers.
+    the closed one; the partner masks are built on first use, or for a
+    product by ``cartesian_product`` from its factors'.  Instances are
+    immutable after construction and safe to share across workers.
     """
 
     __slots__ = ("n", "adj", "closed", "_partners")
@@ -146,8 +149,10 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             if row & ~full:
                 raise ValueError(f"adjacency row of {u} mentions vertices outside 0..{n - 1}")
-        for u in range(n):
-            for v in _bits(adj[u]):
+            while row:  # _bits(row) inlined: every product's rows pass here
+                low = row & -row
+                row ^= low
+                v = low.bit_length() - 1
                 if not adj[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
@@ -177,9 +182,12 @@ class Graph:
     def neighborhood(self, mask: int) -> int:
         """N(S) of the set with bitmask ``mask``: every vertex adjacent to a
         member (a member only through another member)."""
+        adj = self.adj
         out = 0
-        for v in _bits(mask):
-            out |= self.adj[v]
+        while mask:  # _bits(mask) inlined: the predicates call this per set
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
         return out
 
     @property
@@ -352,50 +360,70 @@ class Symmetry:
     as a vertex mask, and ``fix(v)``, the subgroup that fixes v, or None
     when it holds the identity alone: None is the trivial group.
 
-    ``elements`` lists the group but for its identity, each element a
-    triple ``(phi, psi, swap)``: tuples with ``phi[x]`` the image of G's
-    vertex x and ``psi[y]`` that of H's vertex y, and a flag.  It maps
-    (x, y) to (phi[x], psi[y]), or with ``swap`` set, the factor swap
-    after that, to (psi[y], phi[x]).  Orbits and stabilisers are read off
-    this one list, so they are the group's by construction: v's orbit is v
-    with its images, and ``fix(v)`` keeps the elements that map v to
-    itself.  The constructor checks each element's shape (``ValueError``);
-    that the list is a whole group of automorphisms is checked where it
-    is built (``product_symmetry`` checks each factor's elements), at the
-    factors' cost, not the product's.
+    ``parts`` holds the group as at most two rectangles ``(A, B, swap)``:
+    lists of permutations of G's and of H's vertices, tuples p with p[v]
+    the image of v, and a flag.  Each pair (phi, psi) of A x B maps (x, y)
+    to (phi[x], psi[y]), or with ``swap`` set to (psi[y], phi[x]).  So the
+    orbit of (x, y) is A(x) x B(y), swapped in a swapped rectangle, and its
+    stabiliser keeps {phi: phi[x] = x} x {psi: psi[y] = y} of a plain
+    rectangle and {phi: phi[x] = y} x {psi: psi[y] = x} of a swapped one.
+    Both calls cost O(|A| + |B|), and nothing product-sized is held.  The
+    union must be a group, whose identity lies in the plain rectangle.
+
+    ``adj`` is the adjacency of the product the group was built for, so
+    that the solvers refuse it for another graph.  The constructor checks
+    the shapes (``ValueError``); ``product_symmetry`` checks that the factor
+    permutations are automorphisms, at the factors' cost.
     """
 
-    __slots__ = ("n_g", "n_h", "n", "elements")
+    __slots__ = ("adj", "n_g", "n_h", "n", "parts")
 
-    def __init__(self, n_g: int, n_h: int, elements: Iterable[tuple[tuple, tuple, bool]]):
-        self.elements = elements = list(elements)
-        for phi, psi, swap in elements:
-            if len(phi) != n_g or len(psi) != n_h:
-                raise ValueError(
-                    f"element on {len(phi)} and {len(psi)} vertices of a {n_g}x{n_h} product"
-                )
+    def __init__(
+        self, adj: tuple[int, ...], n_g: int, n_h: int, parts: Iterable[tuple[list, list, bool]]
+    ):
+        if len(adj) != n_g * n_h:
+            raise ValueError(f"adjacency of {len(adj)} rows for a {n_g}x{n_h} product")
+        self.parts = parts = list(parts)
+        for group_g, group_h, swap in parts:
+            for perms, order in ((group_g, n_g), (group_h, n_h)):
+                for perm in perms:
+                    if len(perm) != order:
+                        raise ValueError(
+                            f"permutation on {len(perm)} vertices for a factor of {order}"
+                            f" in a {n_g}x{n_h} product"
+                        )
             if swap and n_g != n_h:
                 raise ValueError(f"swap on a {n_g}x{n_h} product, whose factors differ in order")
+        self.adj = adj
         self.n_g, self.n_h, self.n = n_g, n_h, n_g * n_h
 
-    def _images(self, v: int) -> list[int]:
-        """v's image under each element, in list order."""
+    def orbit(self, v: int) -> int:
         n_h = self.n_h
         x, y = divmod(v, n_h)
-        return [
-            psi[y] * n_h + phi[x] if swap else phi[x] * n_h + psi[y]
-            for phi, psi, swap in self.elements
-        ]
-
-    def orbit(self, v: int) -> int:
-        mask = 1 << v
-        for w in self._images(v):
-            mask |= 1 << w
+        mask = 0
+        for group_g, group_h, swap in self.parts:
+            images_g = {phi[x] for phi in group_g}
+            images_h = {psi[y] for psi in group_h}
+            rows, cols = (images_h, images_g) if swap else (images_g, images_h)
+            line = 0
+            for c in cols:
+                line |= 1 << c
+            for r in rows:
+                mask |= line << r * n_h
         return mask
 
     def fix(self, v: int) -> "Symmetry | None":
-        kept = [e for e, w in zip(self.elements, self._images(v)) if w == v]
-        return Symmetry(self.n_g, self.n_h, kept) if kept else None
+        x, y = divmod(v, self.n_h)
+        kept = []
+        for group_g, group_h, swap in self.parts:
+            to_x, to_y = (y, x) if swap else (x, y)
+            fix_g = [phi for phi in group_g if phi[x] == to_x]
+            fix_h = [psi for psi in group_h if psi[y] == to_y]
+            if fix_g and fix_h:
+                kept.append((fix_g, fix_h, swap))
+        if not kept or len(kept) == 1 and len(kept[0][0]) * len(kept[0][1]) == 1:
+            return None  # the identity alone
+        return Symmetry(self.adj, self.n_g, self.n_h, kept)
 
 
 def product_symmetry(prod: ProductGraph) -> Symmetry | None:
@@ -411,9 +439,9 @@ def product_symmetry(prod: ProductGraph) -> Symmetry | None:
     preserves the product's adjacency exactly when phi preserves G's and psi
     H's.  So each factor element but the identity is checked against its
     factor's adjacency here, once, with a raise; that costs the factor's
-    edges, not the product's.  The group is then listed as its pairs of
-    factor elements (``Symmetry``), at most 8 n_g n_h of them, each holding
-    the factors' own tuples.
+    edges, not the product's.  The group is then the rectangle of the two
+    factor groups, and the same rectangle swapped when G == H
+    (``Symmetry``), which hold the factors' own lists.
     """
     g, h = prod.left, prod.right
     same = g == h
@@ -424,32 +452,52 @@ def product_symmetry(prod: ProductGraph) -> Symmetry | None:
         for perm in group[1:]:  # the identity comes first
             if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
                 raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
-    # both groups list the identity first, so the first pair is the identity
-    elements = [(phi, psi, False) for phi in group_g for psi in group_h][1:]
+    parts = [(group_g, group_h, False)]
     if same and g.n > 1:  # on one vertex the swap is the identity
-        elements += [(phi, psi, True) for phi in group_g for psi in group_h]
-    return Symmetry(g.n, h.n, elements) if elements else None
+        parts.append((group_g, group_h, True))
+    elif len(group_g) * len(group_h) == 1:
+        return None
+    return Symmetry(prod.graph.adj, g.n, h.n, parts)
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product G x H: coordinates adjacent iff equal in one factor
-    and adjacent in the other."""
-    n = g.n * h.n
+    and adjacent in the other.
+
+    Rows are assembled from the factors' rows.  S(mask), the sum of
+    1 << x' * n_h over x' in a mask of G, puts a bit at the start of each
+    of its blocks: adj[(x, y)] = adj_H[y] << x n_h | S(adj_G[x]) << y.
+    Distances add across the factors (Hammack, Imrich and Klavzar,
+    *Handbook of Product Graphs*, 2011), so the partners of (x, y) are
+    partners_H[y] << x n_h | S(partners_G[x]) << y | S(adj_G[x]) * adj_H[y]:
+    d_G = 0, d_H = 0, and one step in each, where the product lays
+    adj_H[y] into each neighbouring block with no carry.
+    """
+    n_g, n_h = g.n, h.n
+    n = n_g * n_h
     if n > PRODUCT_SIZE_CAP:
         raise ValueError(f"product on {n} vertices exceeds size cap {PRODUCT_SIZE_CAP}")
-    adj = [0] * n
-    for gu in range(g.n):
-        base = gu * h.n
-        for hu in range(h.n):
-            row = g.adj[gu]
-            acc = adj[base + hu]
-            for hv in _bits(h.adj[hu]):
-                acc |= 1 << (base + hv)
-            for gv in _bits(row):
-                acc |= 1 << (gv * h.n + hu)
-            adj[base + hu] = acc
-    prod = ProductGraph(Graph(n, adj), g, h)
-    expected = g.n * h.edge_count + h.n * g.edge_count
-    if prod.graph.edge_count != expected:
-        raise AssertionError(f"product has {prod.graph.edge_count} edges, expected {expected}")
+
+    def spread(mask: int) -> int:  # S(mask)
+        out = 0
+        while mask:  # _bits(mask) inlined, as in Graph
+            low = mask & -mask
+            out |= 1 << (low.bit_length() - 1) * n_h
+            mask ^= low
+        return out
+
+    adj_h, partners_h = h.adj, h.partners
+    adj, partners = [], []
+    for x, (row_g, far_g) in enumerate(zip(g.adj, g.partners)):
+        shift = x * n_h
+        near, far = spread(row_g), spread(far_g)
+        for y, row in enumerate(adj_h):
+            adj.append(row << shift | near << y)
+            partners.append(partners_h[y] << shift | far << y | near * row)
+    graph = Graph(n, adj)
+    graph._partners = tuple(partners)
+    prod = ProductGraph(graph, g, h)
+    expected = n_g * h.edge_count + n_h * g.edge_count
+    if graph.edge_count != expected:
+        raise AssertionError(f"product has {graph.edge_count} edges, expected {expected}")
     return prod

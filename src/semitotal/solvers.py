@@ -25,10 +25,11 @@ search.
 Why orbits keep the value (orbital branching: Ostrowski, Linderoth, Rossi
 and Smriglio, "Orbital branching", Math. Program. 126, 2011).  A group K
 is read through ``orbit(v)``, v's orbit under K as a vertex mask, and
-``fix(v)``, the subgroup fixing v, both read off the list of K's elements
-(``graphs.Symmetry``).  Let R be the sets of one kind that contain a set
-C and avoid a set X, and let K fix C pointwise and map X onto itself;
-then every k in K maps R onto itself and keeps sizes.
+``fix(v)``, the subgroup fixing v, both read off the factor permutation
+lists of K's rectangles (``graphs.Symmetry``).  Let R be the sets of one
+kind that contain a set C and avoid a set X, and let K fix C pointwise
+and map X onto itself; then every k in K maps R onto itself and keeps
+sizes.
 
 - Branching (``_search_kernel``).  Every set of R meets the node's
   candidates, which it takes in order, skipping each in the orbit O_i of
@@ -48,7 +49,7 @@ then every k in K maps R onto itself and keeps sizes.
   sets and keeps X K-invariant.
 
 At the root C and X are empty and K is the symmetry's group; below it
-each group is a stabiliser in it, the sub-list of its elements that fix
+each group is a stabiliser in it, the elements of its rectangles that fix
 a point, so every union of the group's orbits is one of the stabiliser's.
 Either use keeps the minimum and whether a set within budget exists, not
 the witness: a group moves the search to other sets.  So lexleast, which
@@ -99,8 +100,12 @@ def _check_set(g: Graph, s: VertexSet) -> int:
 
 
 def _check_symmetry(g: Graph, symmetry: Symmetry | None) -> None:
-    if symmetry is not None and symmetry.n != g.n:
+    if symmetry is None:
+        return
+    if symmetry.n != g.n:
         raise ValueError(f"symmetry acts on {symmetry.n} vertices, the graph has {g.n}")
+    if symmetry.adj != g.adj:
+        raise ValueError(f"symmetry was built for another graph on {g.n} vertices")
 
 
 def _dominating_mask(g: Graph, mask: int) -> bool:
@@ -431,8 +436,8 @@ def lexleast_min_semitotal_set(
 
     With ``symmetry`` (as for ``solve_bnb``) a failed probe bars v's orbit
     under a group K, a ``graphs.Symmetry``: the symmetry's group while C
-    is empty, then ``fix`` of each locked vertex in turn, the sub-list of
-    K's elements that fix it, so that K fixes C.  Every union of orbits
+    is empty, then ``fix`` of each locked vertex in turn, the elements of
+    K's rectangles that fix it, so that K fixes C.  Every union of orbits
     of K is one of each group below it, so K keeps ``barred``, and barring
     an orbit keeps F (module docstring, barring); a lock only shrinks F and
     K.  The probe for v searches with K's subgroup ``fix(v)``, which fixes
@@ -514,17 +519,18 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
     """Fast exact solver; value always matches the oracle, witness validates.
 
     ``symmetry``, for the domination kinds, is a group of automorphisms of
-    g listed by its elements, a ``graphs.Symmetry``
+    g held as rectangles of factor permutations, a ``graphs.Symmetry``
     (``graphs.product_symmetry`` builds one for a product from each
     factor's shift and reversal).  The search then branches over the
     group's orbits at the root and over stabilisers' orbits below it
     (``_search_kernel``), which keeps the value (module docstring).  The
-    witness may be another minimum set than the plain search's; a
-    symmetry with no elements gives the plain search's witness.  A
-    symmetry of another order than g's raises ``ValueError``, as does, in
-    ``Symmetry``, an element of the wrong shape; ``product_symmetry``
-    raises ``AssertionError`` for a factor permutation that is not an
-    automorphism.  The symmetry is ignored for rho.
+    witness may be another minimum set than the plain search's; the
+    identity alone gives the plain search's witness.  A symmetry built for
+    another graph than g, of g's order or not, raises ``ValueError``, as
+    does, in ``Symmetry``, a rectangle of the wrong shape;
+    ``product_symmetry`` raises ``AssertionError`` for a factor
+    permutation that is not an automorphism.  The symmetry is ignored for
+    rho.
     """
     _check_kind(kind)
     _check_symmetry(g, symmetry)

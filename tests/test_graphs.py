@@ -433,20 +433,25 @@ def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, rig
 
 
 def test_symmetry_rejects_an_element_of_the_wrong_shape():
-    # an element is a permutation of G's vertices, one of H's and a flag
-    # for the factor swap, which needs factors of one order: anything else
-    # raises ValueError, under python -O too
-    rotate3, rotate4 = (1, 2, 0), (1, 2, 3, 0)
-    assert Symmetry(3, 4, [(rotate3, rotate4, False)]).n == 12
-    identity3 = (0, 1, 2)
-    assert Symmetry(3, 3, [(identity3, identity3, True)]).orbit(1) == 1 << 1 | 1 << 3
-    for element, match in [
-        ((rotate4, rotate4, False), "element on 4 and 4 vertices of a 3x4 product"),
-        ((rotate3, rotate3, False), "element on 3 and 3 vertices of a 3x4 product"),
-        ((rotate3, rotate4, True), "swap on a 3x4 product"),
+    # a rectangle holds permutations of G's vertices, permutations of H's
+    # and a flag for the factor swap, which needs factors of one order, and
+    # the product's adjacency has n_g n_h rows: anything else raises
+    # ValueError, under python -O too
+    adj12 = cartesian_product(generate("cycle", 3), generate("cycle", 4)).graph.adj
+    adj9 = cartesian_product(generate("cycle", 3), generate("cycle", 3)).graph.adj
+    identity3, rotate3, rotate4 = (0, 1, 2), (1, 2, 0), (1, 2, 3, 0)
+    plain = ([identity3, rotate3], [(0, 1, 2, 3), rotate4], False)
+    assert Symmetry(adj12, 3, 4, [plain]).n == 12
+    swapped = [([identity3], [identity3], False), ([identity3], [identity3], True)]
+    assert Symmetry(adj9, 3, 3, swapped).orbit(1) == 1 << 1 | 1 << 3
+    for adj, parts, match in [
+        (adj9, [plain], "adjacency of 9 rows for a 3x4 product"),
+        (adj12, [plain, ([rotate4], [rotate4], False)], "on 4 vertices for a factor of 3 in a 3x4"),
+        (adj12, [([rotate3], [rotate3], False)], "on 3 vertices for a factor of 4 in a 3x4"),
+        (adj12, [plain, ([rotate3], [rotate4], True)], "swap on a 3x4 product"),
     ]:
         with pytest.raises(ValueError, match=match):
-            Symmetry(3, 4, [(rotate3, rotate4, False), element])
+            Symmetry(adj, 3, 4, parts)
 
 
 def test_path_end_to_end_distance():
@@ -539,6 +544,67 @@ def test_product_adjacency_rule():
                 ha == hb and g.adj[ga] >> gb & 1
             )
             assert bool(pg.adj[a] >> b & 1) == expected
+
+
+def _row_factors():
+    """Factors for the row tests: K1, stars, complete graphs, paths, cycles
+    and random graphs, isolated vertices allowed."""
+    factors = [generate("path", 1), generate("star", 4), generate("star", 6)]
+    factors += [generate("complete", n) for n in (2, 4)]
+    factors += [generate("path", n) for n in (3, 5)] + [generate("cycle", n) for n in (3, 6)]
+    factors += [generate("random", n, p=0.4, seed=n) for n in (4, 5, 7)]
+    return factors
+
+
+def test_product_rows_are_the_generic_rows():
+    # cartesian_product assembles each adjacency and partner row from the
+    # factors' rows; both must equal the rows of the product built edge by
+    # edge through Graph, whose partners come from neighbourhoods, for
+    # every ordered pair of factors, G = H among them
+    factors = _row_factors()
+    for g in factors:
+        for h in factors:
+            n = g.n * h.n
+            edges = [(x * h.n + y, x * h.n + z) for x in range(g.n) for y, z in h.edges()]
+            edges += [(x * h.n + y, z * h.n + y) for x, z in g.edges() for y in range(h.n)]
+            generic = from_edge_list(n, edges)
+            prod = cartesian_product(g, h).graph
+            assert prod.adj == generic.adj, (g.adj, h.adj)
+            assert prod.partners == generic.partners, (g.adj, h.adj)
+
+
+def test_fix_chains_keep_the_elements_that_fix_each_vertex():
+    # on plain rectangles (G != H) and swapped ones (G == H), a chain of
+    # fix calls keeps exactly the decoded elements that fix each vertex in
+    # turn, fix returns None exactly when only the identity is left, and
+    # every orbit is the images under the kept elements
+    rng = random.Random(11)
+    factors = [generate("path", 4), generate("cycle", 4), generate("cycle", 5)]
+    factors += [generate("complete", 3), generate("star", 4)]
+    swaps, ends = set(), set()
+    for g in factors:
+        for h in factors:
+            prod = cartesian_product(g, h)
+            n = prod.graph.n
+            identity = tuple(range(n))
+            root = product_symmetry(prod)
+            swaps.update(swap for _, _, swap in root.parts)
+            decoded = set(product_images(root)) | {identity}
+            for v in range(n):
+                group, kept, w = root, decoded, v
+                for _ in range(4):
+                    group = group.fix(w)
+                    kept = {p for p in kept if p[w] == w}
+                    ends.add(group is None)
+                    if group is None:
+                        assert kept == {identity}, (g.adj, h.adj, w)
+                        break
+                    images = product_images(group)
+                    assert len(images) == len(set(images)) and set(images) == kept - {identity}
+                    for u in range(n):
+                        assert group.orbit(u) == sum(1 << z for z in {p[u] for p in kept})
+                    w = rng.randrange(n)
+    assert swaps == ends == {False, True}
 
 
 graphs_strategy = st.builds(

@@ -22,7 +22,7 @@ from semitotal import (
 )
 from semitotal.harness import HUNT_CLOSEST, REPLAY_CHECKS
 from semitotal.io import FamilySpec, comparison_form, parse_pair_spec, write_jsonl
-from symmetry_helpers import product_orbits
+from symmetry_helpers import product_orbits, trivial_symmetry
 
 
 def options(**kw):
@@ -128,12 +128,11 @@ def test_verify_pair_passes_the_product_orbits(monkeypatch):
 
 def test_verify_pair_records_do_not_depend_on_the_product_symmetry(monkeypatch):
     # orbits keep the product's value and lexleast's set, so the record made
-    # with the product symmetry is the one made with the trivial group,
-    # listed with no element: every connected catalog graph on 3-5 vertices
-    # x P2, P3 and C3
+    # with the product symmetry is the one made with the trivial group, one
+    # rectangle of the identity alone: every connected catalog graph on 3-5
+    # vertices x P2, P3 and C3
     import semitotal.harness
     from semitotal.catalog import connected_graphs
-    from semitotal.graphs import Symmetry
 
     pairs = [
         (g, generate(*right))
@@ -153,7 +152,7 @@ def test_verify_pair_records_do_not_depend_on_the_product_symmetry(monkeypatch):
     monkeypatch.setattr(
         semitotal.harness,
         "product_symmetry",
-        lambda prod: Symmetry(prod.n_g, prod.n_h, []),
+        lambda prod: trivial_symmetry(prod.graph),
     )
     assert forms() == with_orbits
 

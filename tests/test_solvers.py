@@ -33,6 +33,7 @@ from semitotal import (
 from semitotal.graphs import Symmetry
 from semitotal.solvers import _PREDICATES as MASK_PREDICATES
 from semitotal.solvers import _kernel_tables, _search_kernel
+from symmetry_helpers import trivial_symmetry
 
 PREDICATES = {
     "gamma": is_dominating,
@@ -160,6 +161,16 @@ def test_bnb_star_values():
     assert solve_bnb(star, "gamma").value == 1
     assert solve_bnb(star, "gamma_t").value == 2
     assert solve_bnb(star, "rho").value == 1
+
+
+def test_paths_and_cycles_follow_a_closed_form():
+    """gamma_t2(P_n) = gamma_t2(C_n) = ceil(2n/5) for 3 <= n <= 40: a check
+    on factor values far beyond the oracle's 20 vertices, such as path:24.
+    The formula is pinned here as an observation of ``solve_bnb``; this
+    repository cannot show whether the literature states it."""
+    for n in range(3, 41):
+        for family in ("path", "cycle"):
+            assert solve_bnb(generate(family, n), "gamma_t2").value == -(-2 * n // 5), (family, n)
 
 
 def test_bnb_matches_oracle_on_sample_families():
@@ -398,7 +409,7 @@ def test_root_with_a_group_stops_at_a_vertex_with_no_candidate():
     # node, with no child, so the search ends at the root
     g = generate("path", 5)
     tables = _kernel_tables(g, "gamma_t2")
-    kwargs = dict(budget=5, excluded0=0b01110, group=_trivial_symmetry(5))
+    kwargs = dict(budget=5, excluded0=0b01110, group=trivial_symmetry(g))
     assert _search_kernel(g, tables, **kwargs) is None
     assert _search_calls(_search_kernel, g, tables, **kwargs) == 1
 
@@ -414,7 +425,7 @@ def test_trivial_group_searches_like_no_group():
     assert len(products) >= 80
     for g, h in products:
         prod = cartesian_product(g, h).graph
-        trivial = _trivial_symmetry(prod.n)
+        trivial = trivial_symmetry(prod)
         for fn, args in ((solve_bnb, (prod, "gamma_t2")), (lexleast_min_semitotal_set, (prod,))):
             assert fn(*args, symmetry=trivial) == fn(*args), (g.adj, h.n, fn.__name__)
             calls = _search_calls(fn, *args, symmetry=trivial)
@@ -426,11 +437,6 @@ def _family_products(max_order):
     factors = [("path", n) for n in range(2, 22)]
     factors += [("cycle", n) for n in range(3, 15)] + [("complete", n) for n in range(4, 22)]
     return [(a, b) for a in factors for b in factors if a[1] * b[1] <= max_order]
-
-
-def _trivial_symmetry(n):
-    """The group of the identity alone on n vertices, listed with no element."""
-    return Symmetry(n, 1, [])
 
 
 def test_orbit_root_keeps_the_value():
@@ -452,7 +458,7 @@ def test_orbit_root_keeps_the_value():
         if g.n <= 20:
             for kind in ("gamma", "gamma_t", "gamma_t2"):
                 plain = solve_bnb(g, kind)
-                trivial = solve_bnb(g, kind, symmetry=_trivial_symmetry(g.n))
+                trivial = solve_bnb(g, kind, symmetry=trivial_symmetry(g))
                 assert trivial == plain, (left, right, kind)
                 assert solve_bnb(g, kind, symmetry=product_symmetry(prod)).value == plain.value
 
@@ -471,7 +477,7 @@ class _Carrying(Symmetry):
     holds more than the identity."""
 
     def __init__(self, symmetry):
-        super().__init__(symmetry.n_g, symmetry.n_h, symmetry.elements)
+        super().__init__(symmetry.adj, symmetry.n_g, symmetry.n_h, symmetry.parts)
         self.carried = set()
 
     def fix(self, r):
@@ -616,10 +622,24 @@ def test_orbit_root_rejects_orbits_that_do_not_partition():
     # graph's fails in the solve that reads it
     g = generate("cycle", 4)
     c3_square = product_symmetry(cartesian_product(generate("cycle", 3), generate("cycle", 3)))
-    for symmetry in [_trivial_symmetry(3), _trivial_symmetry(5), c3_square]:
+    others = [trivial_symmetry(generate("cycle", 3)), trivial_symmetry(generate("path", 5))]
+    for symmetry in [*others, c3_square]:
         for solve in (partial(solve_bnb, g, "gamma_t2"), partial(lexleast_min_semitotal_set, g)):
             with pytest.raises(ValueError, match=f"acts on {symmetry.n} vertices, the graph has 4"):
                 solve(symmetry=symmetry)
+
+
+def test_symmetry_of_another_product_of_the_same_order_is_refused():
+    # C6 x C8 and C8 x P6 both have 48 vertices, and the first's group is no
+    # symmetry of the second: read as one, it led the search to
+    # gamma_t2 = 13, where the value is 12.  Both solvers refuse it
+    target = cartesian_product(generate("cycle", 8), generate("path", 6)).graph
+    other = product_symmetry(cartesian_product(generate("cycle", 6), generate("cycle", 8)))
+    assert other.n == target.n
+    for solve in (partial(solve_bnb, target, "gamma_t2"), partial(lexleast_min_semitotal_set, target)):
+        with pytest.raises(ValueError, match="built for another graph on 48 vertices"):
+            solve(symmetry=other)
+    assert solve_bnb(target, "gamma_t2").value == 12
 
 
 def _search_calls(fn, *args, **kwargs):
@@ -719,8 +739,8 @@ def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
 
 def test_solve_bnb_witness_check_survives_optimize_flag():
     # python -O strips assert statements; the witness check, the checks on
-    # a symmetry's elements and the check on max_allied_set's set list must
-    # not be ones
+    # a symmetry's rectangles and on the graph it was built for and the
+    # check on max_allied_set's set list must not be ones
     src = str(Path(semitotal.__file__).resolve().parent.parent)
     graphs_test = Path(__file__).with_name("test_graphs.py")
     proofs_test = Path(__file__).with_name("test_proofs.py")
@@ -737,13 +757,14 @@ def test_solve_bnb_witness_check_survives_optimize_flag():
             f"{graphs_test}::test_symmetry_rejects_an_element_of_the_wrong_shape",
             f"{__file__}::test_stabiliser_element_that_is_not_an_automorphism_raises",
             f"{proofs_test}::test_max_allied_set_rejects_empty_set_list",
+            f"{__file__}::test_symmetry_of_another_product_of_the_same_order_is_refused",
         ],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and "4 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 small_factor = st.builds(
