@@ -13,7 +13,7 @@ by the product of two single edges.
 """
 
 from semitotal import ScanOptions, hunt_from_records, scan
-from semitotal.io import parse_pair_spec, render_csv_report, write_csv, write_jsonl
+from semitotal.io import parse_pair_spec, read_jsonl, render_report, write_csv, write_jsonl
 
 
 def main():
@@ -29,9 +29,9 @@ def main():
     print()
 
     print("wrote scan_records.jsonl and scan_summary.csv")
-    print("tail of the rendered report:")
-    report = render_csv_report("scan_summary.csv")
-    for line in report.splitlines()[-5:]:
+    print("tail of the report rendered from the JSONL read back:")
+    _, records = read_jsonl("scan_records.jsonl")
+    for line in render_report(records).splitlines()[-5:]:
         print(f"  {line}")
 
 

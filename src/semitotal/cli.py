@@ -23,7 +23,8 @@ from .io import (
     load_spec_json,
     parse_factor_token,
     parse_pair_spec,
-    render_csv_report,
+    read_jsonl,
+    render_report,
     write_csv,
     write_jsonl,
 )
@@ -165,10 +166,10 @@ def _cmd_verify_proof(args) -> int:
 def _cmd_report(args) -> int:
     try:
         with _user_file():
-            table = render_csv_report(args.csv)
-    except ValueError as exc:  # not a scan CSV, or a cell that is not a number
+            _, records = read_jsonl(args.jsonl)
+    except ValueError as exc:  # not a scan JSONL, or a record that is not consistent
         raise _UsageError(str(exc)) from None
-    print(table)
+    print(render_report(records))
     return EXIT_OK
 
 
@@ -214,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--product-cap", type=int, default=None)
     verify.set_defaults(func=_cmd_verify_proof)
 
-    report = sub.add_parser("report", help="render a scan CSV as an aligned table")
-    report.add_argument("--csv", required=True)
+    report = sub.add_parser("report", help="render a scan JSONL as a table and its summary")
+    report.add_argument("--jsonl", required=True)
     report.set_defaults(func=_cmd_report)
 
     return parser

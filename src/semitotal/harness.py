@@ -125,6 +125,19 @@ class InstanceRecord:
                 wanted = " or ".join(_JSON_NAMES[kind] for kind in allowed)
                 raise ValueError(f"holds {key!r} as {type(value).__name__}, not a JSON {wanted}")
             values[f.name] = f.type(value) if f.name in _CONTAINER_FIELDS else value
+        # the values a summary reads must agree with each other
+        if values["skipped"] is None:
+            for name in _SOLVED_FIELDS:
+                if values[name] is None:
+                    raise ValueError(f"holds {_JSON_KEYS[name]!r} as null in a solved record")
+            if values["ratio_den"] < 1:
+                raise ValueError(f"holds 'ratio_den' as {values['ratio_den']}, not at least 1")
+        for check, status in values["replay"].items():
+            if status not in ("pass", "fail", "skipped"):
+                raise ValueError(f"holds 'replay' {check!r} as {status!r}, not pass/fail/skipped")
+        for i, finding in enumerate(values["findings"]):
+            if type(finding) is not dict or type(finding.get("kind")) is not str:
+                raise ValueError(f"holds 'findings' entry {i} without a string 'kind'")
         return cls(**values)
 
 
@@ -137,6 +150,11 @@ _CONTAINER_FIELDS = {f.name: f.type for f in fields(InstanceRecord) if f.type in
 _JSON_NAMES = {
     str: "string", int: "integer", bool: "boolean", dict: "object", list: "list", type(None): "null"
 }
+# the invariants, bounds and ratio that a record not skipped holds
+_SOLVED_FIELDS = (
+    "gamma_t2_g", "gamma_t2_h", "rho_g", "gamma_t2_prod", "bound_thm1", "bound_thm2",
+    "ratio_num", "ratio_den",
+)
 
 
 def _finding(
@@ -390,12 +408,7 @@ def scan(spec, options: ScanOptions | None = None) -> ScanSummary:
 def summarize(records: list[InstanceRecord]) -> ScanSummary:
     findings = [f for r in records for f in r.findings]
     solved = [r for r in records if r.skipped is None]
-    min_ratio = None
-    min_ratio_id = None
-    for r in solved:
-        ratio = (r.ratio_num, r.ratio_den)
-        if min_ratio is None or Fraction(*ratio) < Fraction(*min_ratio):
-            min_ratio, min_ratio_id = ratio, r.id
+    lowest = min(solved, key=lambda r: r.ratio, default=None)  # the first, on a tie
     counts = {check: {"pass": 0, "fail": 0, "skipped": 0} for check in REPLAY_CHECKS}
     for r in records:
         for check in REPLAY_CHECKS:
@@ -406,8 +419,8 @@ def summarize(records: list[InstanceRecord]) -> ScanSummary:
         total=len(records),
         solved=len(solved),
         skipped=len(records) - len(solved),
-        min_ratio=min_ratio,
-        min_ratio_id=min_ratio_id,
+        min_ratio=None if lowest is None else (lowest.ratio_num, lowest.ratio_den),
+        min_ratio_id=None if lowest is None else lowest.id,
         check_pass_counts=counts,
         bound_violations=sum(1 for f in findings if f["kind"] == "bound_violation"),
     )

@@ -1,22 +1,23 @@
-"""Family-spec parsing and JSONL/CSV persistence.
+"""Family-spec parsing, JSONL persistence, the CSV export and the report.
 
 The scan grammar is shell-friendly: factor tokens like ``path:3`` or
 ``paths:2-5`` (singular and plural both accepted), comma-separated on each
 side of an ``x`` pair separator.  Random families and graph6 files need the
 JSON spec form, which carries seeds.  JSONL files start with a schema/version
-header line; every record line parses back to an equal record.
+header line; every record line parses back to an equal record, and the
+report is rendered from those records.  The CSV is an export that nothing
+reads back.
 """
 
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import FAMILIES, generate
-from .harness import REPLAY_CHECKS, InstanceRecord
+from .harness import REPLAY_CHECKS, InstanceRecord, summarize
 
 SCHEMA_VERSION = 1
 
@@ -293,46 +294,10 @@ def write_csv(path: str | Path, records: list[InstanceRecord]) -> None:
         writer.writerows(_csv_rows(records))
 
 
-def render_csv_report(path: str | Path) -> str:
-    """Aligned text table of a scan CSV, with min ratio and finding counts."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != list(CSV_COLUMNS) or any(len(r) != len(CSV_COLUMNS) for r in rows):
-        raise ValueError(f"{path}: not a scan summary CSV")
-    body = rows[1:]
-    widths = [len(c) for c in CSV_COLUMNS]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    min_ratio = None
-    min_id = None
-    fail_counts = {c: 0 for c in REPLAY_CHECKS}
-    bound_violations = 0
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        data = dict(zip(CSV_COLUMNS, row))
-        if data["ratio_num"]:
-            if int(data["ratio_den"]) == 0:
-                raise ValueError(f"{path}: row {data['id']!r} has a zero ratio_den")
-            ratio = Fraction(int(data["ratio_num"]), int(data["ratio_den"]))
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio, min_id = ratio, data["id"]
-            if data["gamma_t2_prod"] and (
-                int(data["gamma_t2_prod"]) < int(data["bound_thm1"])
-                or int(data["gamma_t2_prod"]) < int(data["bound_thm2"])
-            ):
-                bound_violations += 1
-        for check in REPLAY_CHECKS:
-            if data[f"replay_{check}"] == "fail":
-                fail_counts[check] += 1
-    lines.append("")
-    lines.append(f"rows: {len(body)}")
-    if min_ratio is not None:
-        lines.append(f"min ratio: {min_ratio.numerator}/{min_ratio.denominator} at {min_id}")
-    lines.append(f"bound violations: {bound_violations}")
-    fails = ", ".join(f"{c}={fail_counts[c]}" for c in REPLAY_CHECKS)
-    lines.append(f"replay failures: {fails}")
-    return "\n".join(lines)
+def render_report(records: list[InstanceRecord]) -> str:
+    """Aligned text table of the CSV's columns, then the scan's summary."""
+    rows = [CSV_COLUMNS, *([str(cell) for cell in row] for row in _csv_rows(records))]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join([*lines, "", summarize(records).render()])

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import pytest
@@ -369,48 +368,80 @@ def test_verify_proof_flags_violation(capsys):
 def test_report_renders(capsys, tmp_path):
     out_path = tmp_path / "r.jsonl"
     run(capsys, "scan", "--spec", "paths:2-3 x paths:2-3", "--out", str(out_path), "--workers", "1")
-    code, out, _ = run(capsys, "report", "--csv", str(tmp_path / "r.csv"))
+    code, out, _ = run(capsys, "report", "--jsonl", str(out_path))
     assert code == 0
-    assert "min ratio" in out
-    assert "replay failures" in out
+    assert "gamma_t2_prod" in out.splitlines()[0]
+    assert "min ratio: 1/2 at path:2 x path:2 A_ A_" in out
+    assert "replay claim1: 4 pass, 0 fail, 0 skipped" in out
+
+
+def test_report_prints_the_summary_that_scan_printed(capsys, tmp_path):
+    # path:4 x path:2 breaks the packing bound, so the scan exits 4 with one
+    # bound_violation finding; report must count it by the same rule
+    out_path = tmp_path / "v.jsonl"
+    code, scan_out, _ = run(
+        capsys, "scan", "--spec", "paths:2-4 x path:2", "--out", str(out_path), "--workers", "1"
+    )
+    assert code == 4
+    summary = scan_out.split("conjecture threshold")[0].splitlines()
+    assert "findings: 1 (1 bound violations)" in summary
+    code, out, _ = run(capsys, "report", "--jsonl", str(out_path))
+    assert code == 0
+    report = out.splitlines()
+    assert [line for line in summary if line not in report] == []
 
 
 def test_report_rejects_non_scan_csv(capsys, tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")
-    code, out, err = run(capsys, "report", "--csv", str(path))
+    code, out, err = run(capsys, "report", "--jsonl", str(path))
     assert code == 2
-    assert "not a scan summary CSV" in err
+    assert "line 1 is not a JSON object" in err
     assert out == ""
 
 
-def test_report_rejects_truncated_scan_csv(capsys, tmp_path):
+def test_report_rejects_a_truncated_scan_jsonl(capsys, tmp_path):
     out_path = tmp_path / "t.jsonl"
-    run(capsys, "scan", "--spec", "path:2 x path:2", "--out", str(out_path), "--workers", "1")
-    csv_path = tmp_path / "t.csv"
-    csv_path.write_text(csv_path.read_text() + "path:3 x path:3,3\n")
-    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    run(capsys, "scan", "--spec", "paths:2-3 x path:2", "--out", str(out_path), "--workers", "1")
+    lines = out_path.read_text().splitlines()
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    out_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "report", "--jsonl", str(out_path))
     assert code == 2
-    assert "not a scan summary CSV" in err
+    assert "line 3 is not a JSON object" in err
     assert out == ""
 
 
-def test_report_rejects_a_zero_ratio_denominator(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"ratio_den": 0}, "'ratio_den'"),
+        ({"ratio_num": None}, "'ratio_num'"),
+        ({"replay": {"claim1": "maybe"}}, "'claim1'"),
+        ({"findings": [1]}, "'findings'"),
+        ({"findings": [{"x": 1}]}, "'findings'"),
+    ],
+    ids=["zero-ratio-den", "null-ratio-num", "unknown-status", "finding-number", "finding-no-kind"],
+)
+def test_report_rejects_an_inconsistent_record(capsys, tmp_path, change, field):
     out_path = tmp_path / "z.jsonl"
-    run(capsys, "scan", "--spec", "path:2 x path:2", "--out", str(out_path), "--workers", "1")
-    csv_path = tmp_path / "z.csv"
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][rows[0].index("ratio_den")] = "0"
-    with open(csv_path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    run(capsys, "scan", "--spec", "path:2 x paths:2-3", "--out", str(out_path), "--workers", "1")
+    header, first, second = out_path.read_text().splitlines()
+    out_path.write_text("\n".join([header, first, json.dumps({**json.loads(second), **change})]))
+    code, out, err = run(capsys, "report", "--jsonl", str(out_path))
     assert code == 2
-    assert "ratio_den" in err
+    assert "line 3" in err and field in err
     assert out == ""
 
 
 def test_report_missing_file(capsys, tmp_path):
-    code, _, err = run(capsys, "report", "--csv", str(tmp_path / "absent.csv"))
+    code, _, err = run(capsys, "report", "--jsonl", str(tmp_path / "absent.jsonl"))
     assert code == 2
     assert err
+
+
+def test_report_no_longer_reads_a_csv(capsys, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--csv", str(tmp_path / "run.csv")])
+    assert info.value.code == 2
+    assert "--jsonl" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from semitotal.io import (
     parse_factor_token,
     parse_pair_spec,
     read_jsonl,
-    render_csv_report,
+    render_report,
     write_csv,
     write_jsonl,
 )
@@ -252,21 +252,21 @@ def test_csv_columns_fixed(tmp_path):
     assert by_col["replay_claim1"] in ("pass", "fail", "skipped")
 
 
-def test_report_rendering(tmp_path):
+def test_report_rendering():
     summary = run_scan("paths:2-4 x paths:2-4")
-    path = tmp_path / "run.csv"
-    write_csv(path, summary.records)
-    report = render_csv_report(path)
-    assert "min ratio: 1/2 at path:2 x path:2" in report
-    assert "rows: 9" in report
-    assert "replay failures:" in report
+    report = render_report(summary.records).splitlines()
+    tail = summary.render().splitlines()
+    assert report[0].split() == list(CSV_COLUMNS)
+    # the header, its rule and nine rows, then a blank line and the summary
+    assert report[2 + 9 :] == ["", *tail]
+    assert "min ratio: 1/2 at path:2 x path:2 A_ A_" in tail
 
 
 def test_report_rejects_foreign_csv(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="not a scan summary"):
-        render_csv_report(path)
+    with pytest.raises(ValueError, match="foreign.csv: line 1 is not a JSON object"):
+        read_jsonl(path)
 
 
 def test_random_family_scan_is_seed_deterministic(tmp_path):

@@ -58,7 +58,7 @@ codes = [
     main(["product", "--left", "path:2", "--right", "path:3"]),
     main(["scan", "--spec", "path:2 x paths:2-3", "--out", out, "--workers", "1"]),
     main(["verify-proof", "--left", "path:2", "--right", "path:3"]),
-    main(["report", "--csv", out.replace(".jsonl", ".csv")]),
+    main(["report", "--jsonl", out]),
 ]
 """,
 }
