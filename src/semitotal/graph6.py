@@ -8,7 +8,17 @@ header exactly, and padding bits must be zero.  Emission always uses the
 minimal-length header.
 """
 
+from binascii import a2b_base64, b2a_base64
+
 from .graphs import Graph, from_edge_list
+
+# The body's six-bit groups are base64's, in another alphabet: value v is
+# byte v + 63 in graph6 and the v-th letter of _BASE64 in base64, so the
+# codec moves the bits through int, bytes and binascii, never bit by bit.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_PRINTABLE = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _PRINTABLE)
+_FROM_GRAPH6 = bytes.maketrans(_PRINTABLE, _BASE64)
 
 
 class Graph6Error(ValueError):
@@ -21,10 +31,12 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _check_printable(data: bytes, start: int = 0) -> None:
-    for i in range(start, len(data)):
-        if not 63 <= data[i] <= 126:
-            raise Graph6Error(f"non-printable graph6 byte {data[i]:#04x}", offset=i)
+def _check_printable(data: bytes) -> None:
+    if not data.translate(None, delete=_PRINTABLE):
+        return
+    for i, byte in enumerate(data):  # only to find the first bad byte
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"non-printable graph6 byte {byte:#04x}", offset=i)
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:
@@ -73,20 +85,23 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - body > nbytes:
         raise Graph6Error("unexpected trailing bytes after adjacency body", offset=body + nbytes)
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[body + k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
+    # The body's bits as a string of "0" and "1", nbits of the upper
+    # triangle in column order, then the padding.
+    groups = data[body:].translate(_FROM_GRAPH6)
+    raw = a2b_base64(groups + b"A" * (-nbytes % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     # Pad bits beyond the upper triangle must be zero.
-    while k < nbytes * 6:
-        byte = data[body + k // 6] - 63
-        if byte >> (5 - k % 6) & 1:
-            raise Graph6Error("nonzero padding bit", offset=body + k // 6)
-        k += 1
+    k = bits.find("1", nbits, nbytes * 6)
+    if k >= 0:
+        raise Graph6Error("nonzero padding bit", offset=body + k // 6)
+    edges = []
+    start = 0  # bit of the pair (0, j)
+    for j in range(1, n):
+        i = bits.find("1", start, start + j)
+        while i >= 0:
+            edges.append((i - start, j))
+            i = bits.find("1", i + 1, start + j)
+        start += j
     return from_edge_list(n, edges)
 
 
@@ -99,18 +114,14 @@ def emit_graph6(g: Graph) -> str:
         header = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         header = [126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
-    out = bytearray(header)
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return out.decode("ascii")
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return bytes(header).decode("ascii")
+    # Column j holds bits i = 0..j-1 of adj[j], lowest first: bin of the
+    # row's low j bits under a leading 1, reversed, less the "0b1".
+    adj = g.adj
+    bits = "".join([bin(adj[j] & (1 << j) - 1 | 1 << j)[:2:-1] for j in range(1, n)])
+    pad = -nbits % 24  # whole base64 quanta, so no "=" is emitted
+    raw = (int(bits, 2) << pad).to_bytes((nbits + pad) // 8, "big")
+    body = b2a_base64(raw, newline=False)[: (nbits + 5) // 6].translate(_TO_GRAPH6)
+    return (bytes(header) + body).decode("ascii")

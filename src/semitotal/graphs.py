@@ -367,8 +367,12 @@ class Symmetry:
     orbit of (x, y) is A(x) x B(y), swapped in a swapped rectangle, and its
     stabiliser keeps {phi: phi[x] = x} x {psi: psi[y] = y} of a plain
     rectangle and {phi: phi[x] = y} x {psi: psi[y] = x} of a swapped one.
-    Both calls cost O(|A| + |B|), and nothing product-sized is held.  The
-    union must be a group, whose identity lies in the plain rectangle.
+    Both calls cost O(|A| + |B|): ``orbit`` ORs the images into a mask of
+    rows S(rows), one bit at each block's start, and a mask of columns, and
+    their product is the rectangle, since the blocks never overlap.
+    Nothing product-sized is held.  The search kernel calls ``fix`` only
+    for a node that branches, not for every child it makes.  The union
+    must be a group, whose identity lies in the plain rectangle.
 
     ``adj`` is the adjacency of the product the group was built for, so
     that the solvers refuse it for another graph.  The constructor checks
@@ -402,14 +406,15 @@ class Symmetry:
         x, y = divmod(v, n_h)
         mask = 0
         for group_g, group_h, swap in self.parts:
-            images_g = {phi[x] for phi in group_g}
-            images_h = {psi[y] for psi in group_h}
-            rows, cols = (images_h, images_g) if swap else (images_g, images_h)
-            line = 0
-            for c in cols:
-                line |= 1 << c
-            for r in rows:
-                mask |= line << r * n_h
+            (row_perms, r), (col_perms, c) = (
+                ((group_h, y), (group_g, x)) if swap else ((group_g, x), (group_h, y))
+            )
+            rows = cols = 0
+            for p in row_perms:
+                rows |= 1 << p[r] * n_h  # S(rows), one bit at each block's start
+            for p in col_perms:
+                cols |= 1 << p[c]
+            mask |= rows * cols  # the blocks do not overlap, so it never carries
         return mask
 
     def fix(self, v: int) -> "Symmetry | None":

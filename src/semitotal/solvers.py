@@ -39,10 +39,11 @@ sizes.
   k(w) = v_j, k(S) is a minimum set of R that contains v_j and avoids
   O_1 ... O_{j-1}, which are K-invariant, so child j holds it.  The child
   carries ``fix(v_j)``, which fixes C and v_j and keeps X and each O_i, so
-  the argument runs on down the tree.  The same holds for existence: a set
-  S of R within a budget meets a first O_j, and k(S), of the same size,
-  lies in child j; so a budgeted search over orbits finds a set exactly
-  when the plain search does.
+  the argument runs on down the tree; it builds that stabiliser once it
+  branches, after its bounds, which read no group, fail to prune it.  The
+  same holds for existence: a set S of R within a budget meets a first
+  O_j, and k(S), of the same size, lies in child j; so a budgeted search
+  over orbits finds a set exactly when the plain search does.
 - Barring (``lexleast_min_semitotal_set``).  When no minimum set of R
   contains v, none contains k(v), since k's inverse would map it to one
   that contains v; so v's whole orbit can join X, which keeps R's minimum
@@ -222,7 +223,7 @@ def _kernel_tables(g: Graph, kind: str) -> tuple:
     lexleast probes) share the entries."""
     cover = g.adj if kind == "gamma_t" else g.closed
     partners = g.partners if kind == "gamma_t2" else None
-    negdeg = [-g.degree(v) for v in range(g.n)]
+    negdeg = [-row.bit_count() for row in g.adj]
     delta = -min(negdeg)
     ratio = {"gamma": (1, delta + 1), "gamma_t": (1, delta), "gamma_t2": (2, 2 * delta + 1)}
     num, den = ratio[kind]
@@ -239,11 +240,10 @@ def _greedy_domination(g: Graph, tables: tuple) -> int:
     covered = 0
     while covered != full:
         best_v, best_gain = -1, -1
+        uncovered = full & ~covered
         for v in range(n):
-            if chosen >> v & 1:
-                continue
-            gain = (cover[v] & ~covered).bit_count()
-            if gain > best_gain:
+            gain = (cover[v] & uncovered).bit_count()
+            if gain > best_gain and not chosen >> v & 1:
                 best_v, best_gain = v, gain
         chosen |= 1 << best_v
         covered |= cover[best_v]
@@ -318,13 +318,15 @@ def _search_kernel(
 
     ``group``, a ``graphs.Symmetry`` that fixes ``chosen0`` and keeps
     ``excluded0``, is the root's; a node with a group, the root included,
-    takes one child per orbit of it among its candidates, skips a
-    candidate in the orbit of an earlier one, and gives the child for v
-    the group ``fix(v)``, None when nothing but the identity fixes v.
-    None is the trivial group.  A group keeps the
-    minimum in optimise mode and the answer in budgeted-feasible mode, not
-    the witness (module docstring), so both take one; ``collect``, which
-    must reach every set, takes none.
+    takes one child per orbit of it among its candidates and skips a
+    candidate in the orbit of an earlier one.  The child for v searches
+    with the group ``fix(v)``, None when nothing but the identity fixes v,
+    and builds it from its parent's group once its bounds fail to prune
+    it and it walks a row, so a child that a bound prunes builds none.
+    The root uses ``group`` as it is.  None is the trivial group.  A group
+    keeps the minimum in optimise mode and the answer in budgeted-feasible
+    mode, not the witness (module docstring), so both take one;
+    ``collect``, which must reach every set, takes none.
     """
     n = g.n
     full = (1 << n) - 1
@@ -333,7 +335,7 @@ def _search_kernel(
     best = incumbent
     best_size = budget + 1 if first else incumbent.bit_count()
 
-    def search(chosen: int, covered: int, excluded: int, size: int, group) -> bool:
+    def search(chosen: int, covered: int, excluded: int, size: int, group, pivot: int) -> bool:
         nonlocal best, best_size
         uncovered = full & ~covered
         if uncovered:
@@ -383,6 +385,8 @@ def _search_kernel(
             if size + bound >= best_size:
                 return False
             ranked, rows = partner_ranked, partners
+        if pivot >= 0 and group is not None:
+            group = group.fix(pivot)  # built only by a node that branches
         order = ranked[branch]
         if order is None:
             order = ranked[branch] = sorted(_bits(rows[branch]), key=negdeg.__getitem__)
@@ -390,8 +394,7 @@ def _search_kernel(
         for v in order:
             if ex >> v & 1:
                 continue  # excluded, or in the orbit of an earlier candidate
-            child = None if group is None else group.fix(v)
-            if search(chosen | 1 << v, covered | cover[v], ex, size + 1, child):
+            if search(chosen | 1 << v, covered | cover[v], ex, size + 1, group, v):
                 return True
             ex |= 1 << v if group is None else group.orbit(v)
             if size + bound >= best_size:
@@ -401,7 +404,7 @@ def _search_kernel(
     covered0 = 0
     for v in _bits(chosen0):
         covered0 |= cover[v]
-    search(chosen0, covered0, excluded0, chosen0.bit_count(), group)
+    search(chosen0, covered0, excluded0, chosen0.bit_count(), group, -1)
     return best
 
 

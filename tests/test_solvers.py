@@ -731,6 +731,32 @@ def test_candidate_order_is_pinned():
     assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 16_288
 
 
+def test_stabilisers_are_built_only_by_nodes_that_branch(monkeypatch):
+    # deterministic guard on the stabiliser work: a child builds fix(v)
+    # only once its bounds fail to prune it, so the pruned children build
+    # none.  Giving every child its stabiliser up front built 17, 54 and
+    # 271.  Equalities, as in test_candidate_order_is_pinned
+    calls = 0
+    fix = Symmetry.fix
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return fix(self, v)
+
+    monkeypatch.setattr(Symmetry, "fix", counted)
+    product_solve = partial(solve_bnb, kind="gamma_t2")
+    for left, right, solve, expected in (
+        (("cycle", 4), ("cycle", 5), product_solve, 5),
+        (("cycle", 7), ("cycle", 7), product_solve, 46),
+        (("cycle", 9), ("cycle", 4), lexleast_min_semitotal_set, 142),
+    ):
+        prod = cartesian_product(generate(*left), generate(*right))
+        calls = 0
+        solve(prod.graph, symmetry=product_symmetry(prod))
+        assert calls == expected, (left, right)
+
+
 def test_solve_bnb_rejects_invalid_kernel_witness(monkeypatch):
     monkeypatch.setattr(semitotal.solvers, "_search_kernel", lambda g, tables, **kw: 1)
     with pytest.raises(AssertionError, match="invalid gamma witness"):
