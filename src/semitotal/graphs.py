@@ -265,9 +265,10 @@ class ProductGraph:
     """Cartesian product of two graphs with the flat-index bijection.
 
     Vertex (g, h) lives at flat index ``g * n_h + h``; the convention is part
-    of the persistence format and must stay stable, and only this class
-    computes with it.  Row g holds the vertices (g, *) and column h the
-    vertices (*, h).  The factor graphs ride along for projection work.
+    of the persistence format and must stay stable, and only this module
+    computes with it (here, in ``Symmetry`` and in ``cartesian_product``).
+    Row g holds the vertices (g, *) and column h the vertices (*, h).  The
+    factor graphs ride along for projection work.
     """
 
     __slots__ = ("graph", "left", "right", "n_g", "n_h", "col_masks")
@@ -456,7 +457,7 @@ def product_symmetry(prod: ProductGraph) -> Symmetry | None:
         identity = list(range(factor.n))
         for perm in group[1:]:  # the identity comes first
             if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
-                raise AssertionError(f"stabiliser built from a non-automorphism {perm}")
+                raise AssertionError(f"factor permutation {perm} is a non-automorphism")
     parts = [(group_g, group_h, False)]
     if same and g.n > 1:  # on one vertex the swap is the identity
         parts.append((group_g, group_h, True))

@@ -93,8 +93,6 @@ def _resolve_side(text: str) -> tuple[tuple[str, str], ...]:
     entries = []
     for token in text.split(","):
         entries.extend(parse_factor_token(token))
-    if not entries:
-        raise FamilySpecError("factor side resolved to no graphs")
     return tuple(entries)
 
 

@@ -21,8 +21,10 @@ U = {u_1..u_k} (allied members first), the machinery builds:
 
 All tie-breaking (cell assignment, neighbor choice, path midpoints) is
 least-index so findings replay exactly.  Checks report failures; they never
-patch them.  Neighbourhoods, partner masks and the product's rows, columns
-and projections are read from ``graphs``, never re-derived here.
+patch them.  Bad input to a public stage raises ``ValueError``, a broken
+internal invariant ``AssertionError``.  Neighbourhoods, partner masks and
+the product's rows, columns and projections are read from ``graphs``,
+never re-derived here.
 """
 
 from dataclasses import dataclass
@@ -34,17 +36,6 @@ from .solvers import (
     enumerate_min_semitotal_sets,
     solve_bnb,
 )
-
-
-class FalsificationError(RuntimeError):
-    """A construction the argument asserts to exist could not be built.
-
-    Raised instead of silently patching; carries enough context to replay.
-    """
-
-    def __init__(self, message: str, context: dict | None = None):
-        super().__init__(message)
-        self.context = dict(context or {})
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,8 @@ def build_cell_partition(g: Graph, ap: AlliedPartition) -> tuple[VertexSet, ...]
     Allied cells come first in that order, so a vertex next to an allied
     member never reaches a free cell, and the distance-2 exclusion between
     allied and free cells holds by construction; ``cell_partition_violations``
-    checks it.  A vertex with no admissible cell contradicts the
-    construction's existence argument and raises ``FalsificationError``.
+    checks it.  When ``ap.members`` dominates G every vertex has a cell; a
+    hand-built partition whose members do not raises ``ValueError``.
     """
     order = ap.order
     cells = [0] * len(order)
@@ -142,14 +133,7 @@ def build_cell_partition(g: Graph, ap: AlliedPartition) -> tuple[VertexSet, ...]
         unassigned &= ~g.adj[owner]
     if unassigned:
         w = (unassigned & -unassigned).bit_length() - 1
-        raise FalsificationError(
-            f"no admissible cell for vertex {w}",
-            {
-                "vertex": w,
-                "members": ap.members.vertices(),
-                "allied": ap.allied.vertices(),
-            },
-        )
+        raise ValueError(f"build_cell_partition: no admissible cell for vertex {w}")
     return tuple(VertexSet(g.n, m) for m in cells)
 
 

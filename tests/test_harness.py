@@ -326,24 +326,6 @@ def test_replay_findings_of_k2_times_p5():
     }
 
 
-def test_replay_finding_when_the_cell_partition_cannot_be_built(monkeypatch):
-    import semitotal.harness
-    from semitotal import FalsificationError
-
-    def refuse(g, ap):
-        raise FalsificationError("no cell", {"vertex": 1})
-
-    monkeypatch.setattr(semitotal.harness, "build_cell_partition", refuse)
-    record = _k2_p5_record()
-    assert record.replay == {c: ("fail" if c == "pi_valid" else "skipped") for c in REPLAY_CHECKS}
-    assert record.claim2_cells_pass is None and record.claim2_cells_fail is None
-    assert [f["kind"] for f in record.findings] == ["construction_failure"]
-    finding = _only(record, "construction_failure")
-    assert finding["failed_predicate"] == "build_cell_partition"
-    assert finding["partition"] is None
-    assert finding["detail"] == {"error": "no cell", "vertex": 1}
-
-
 def test_replay_finding_when_the_cell_partition_breaks_an_invariant(monkeypatch):
     import semitotal.harness
 

@@ -211,11 +211,27 @@ def test_cell_partition_is_first_neighbouring_cell():
 
 def test_cell_partition_reports_a_vertex_with_no_cell():
     # a hand-built split of P3 whose only member 0 misses vertex 2
-    from semitotal import AlliedPartition, FalsificationError
+    from semitotal import AlliedPartition
 
     ap = AlliedPartition(members=vs(3, 0), allied=vs(3), free=vs(3, 0), order=(0,))
-    with pytest.raises(FalsificationError, match="no admissible cell for vertex 2"):
+    with pytest.raises(ValueError, match="no admissible cell for vertex 2"):
         build_cell_partition(generate("path", 3), ap)
+
+
+def test_cell_partition_builds_for_every_minimum_set():
+    # every minimum set dominates, so every split of one gets a valid partition
+    from semitotal import connected_graphs, enumerate_min_semitotal_sets
+
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    assert len(graphs) == 142
+    sets = 0
+    for g in graphs:
+        for u in enumerate_min_semitotal_sets(g):
+            ap = allied_split(g, u)
+            pi = build_cell_partition(g, ap)
+            assert cell_partition_violations(g, ap, pi) == [], (g.adj, u.vertices())
+            sets += 1
+    assert sets == 922
 
 
 def test_cell_partition_free_cells_contain_owner():
