@@ -141,8 +141,7 @@ def _cmd_verify_proof(args) -> int:
     rid, right = _factor_from_token(args.right)
     record = verify_pair(left, right, options, left_id=lid, right_id=rid)
     if record.skipped:
-        print(f"skipped: {record.skipped}")
-        return EXIT_USAGE
+        raise _UsageError(record.skipped)
     print(f"instance       {record.id}")
     print(f"gamma_t2(G)    {record.gamma_t2_g}")
     print(f"gamma_t2(H)    {record.gamma_t2_h}")

@@ -6,11 +6,10 @@ neighbourhood of a set (``Graph.neighborhood``), closed neighbourhoods
 (``closed``), the semi-total partners within distance 2 (``partners``,
 ``ball2``), the product's flat-index layout (``ProductGraph.rows``,
 ``project_left``, ``project_right``, ``col_masks``) and the symmetry of a
-product that the searches read (``product_symmetry``, a ``Symmetry``):
-the group that each factor's shift and reversal generate, which
-``_factor_group`` lists, with the factor swap when G = H, held as
-rectangles of those lists.  A product's adjacency and partner rows are
-assembled from its factors' rows (``cartesian_product``).
+product that the searches read (``Symmetry(prod)``): the group that each
+factor's shift and reversal generate (``_factor_group``), with the factor
+swap when G = H, held as rectangles of those lists.  A product's adjacency
+and partner rows are assembled from its factors' rows (``cartesian_product``).
 ``dist`` runs one breadth-first search per call, and disconnected pairs
 carry the ``INF`` sentinel.
 """
@@ -340,8 +339,8 @@ def _factor_group(g: Graph) -> list[tuple[int, ...]]:
     n reflections (for n <= 2 they are rotations).  Otherwise it is
     {identity, reversal} where the reversal preserves g, else the identity
     alone.  It is all of Aut(C_n) and Aut(P_n) for the cycles and paths of
-    ``generate``, and a subgroup of Aut(g) for any g; ``product_symmetry``
-    checks its elements."""
+    ``generate``, and a subgroup of Aut(g) for any g; ``Symmetry`` checks
+    its elements."""
     n = g.n
     identity = tuple(range(n))
     reversal = identity[::-1]
@@ -356,51 +355,62 @@ def _factor_group(g: Graph) -> list[tuple[int, ...]]:
 
 
 class Symmetry:
-    """A group of automorphisms of a product G x H, as the searches read it
-    (``solvers`` says why orbits keep the value): ``orbit(v)``, v's orbit
-    as a vertex mask, and ``fix(v)``, the subgroup that fixes v, or None
-    when it holds the identity alone: None is the trivial group.
+    """The symmetry of a product G x H that the searches read (``solvers``
+    says why orbits keep the value): ``orbit(v)``, v's orbit as a vertex
+    mask, and ``fix(v)``, the subgroup that fixes v, or None when it holds
+    the identity alone: None is the trivial group.
+
+    ``Symmetry(prod)`` builds the group of the product it acts on: each
+    factor's group (``_factor_group``, at most 2n permutations, tuples p
+    with p[v] the image of v) acting coordinatewise, with the factor swap
+    (a, b) -> (b, a) when G == H.  Since (phi, psi) preserves the product's
+    adjacency exactly when phi preserves G's and psi H's (Hammack, Imrich
+    and Klavzar, *Handbook of Product Graphs*, 2011), each factor element
+    but the identity is checked here, once, against its factor's adjacency
+    (``AssertionError``): the group lies in Aut(G x H), at the factors' cost.
 
     ``parts`` holds the group as at most two rectangles ``(A, B, swap)``:
-    lists of permutations of G's and of H's vertices, tuples p with p[v]
-    the image of v, and a flag.  Each pair (phi, psi) of A x B maps (x, y)
-    to (phi[x], psi[y]), or with ``swap`` set to (psi[y], phi[x]).  So the
-    orbit of (x, y) is A(x) x B(y), swapped in a swapped rectangle, and its
-    stabiliser keeps {phi: phi[x] = x} x {psi: psi[y] = y} of a plain
-    rectangle and {phi: phi[x] = y} x {psi: psi[y] = x} of a swapped one.
-    Both calls cost O(|A| + |B|): ``orbit`` ORs the images into a mask of
-    rows S(rows), one bit at each block's start, and a mask of columns, and
+    the factor groups, then the same pair swapped when G == H.  (phi, psi)
+    of A x B maps (x, y) to (phi[x], psi[y]), or with ``swap`` set to
+    (psi[y], phi[x]).  So the orbit of (x, y) is A(x) x B(y), swapped in a
+    swapped rectangle, and its stabiliser keeps
+    {phi: phi[x] = x} x {psi: psi[y] = y} of a plain rectangle and
+    {phi: phi[x] = y} x {psi: psi[y] = x} of a swapped one.  Both calls
+    cost O(|A| + |B|): ``orbit`` ORs the images into a mask of rows
+    S(rows), one bit at each block's start, and a mask of columns, and
     their product is the rectangle, since the blocks never overlap.
-    Nothing product-sized is held.  The search kernel calls ``fix`` only
-    for a node that branches, not for every child it makes.  The union
-    must be a group, whose identity lies in the plain rectangle.
-
-    ``adj`` is the adjacency of the product the group was built for, so
-    that the solvers refuse it for another graph.  The constructor checks
-    the shapes (``ValueError``); ``product_symmetry`` checks that the factor
-    permutations are automorphisms, at the factors' cost.
+    Nothing product-sized is held.  ``fix`` builds each stabiliser from its
+    parent's checked lists, for a search node that branches.  ``adj`` is
+    the product's adjacency, so that the solvers refuse it for another graph.
     """
 
     __slots__ = ("adj", "n_g", "n_h", "n", "parts")
 
-    def __init__(
-        self, adj: tuple[int, ...], n_g: int, n_h: int, parts: Iterable[tuple[list, list, bool]]
-    ):
-        if len(adj) != n_g * n_h:
-            raise ValueError(f"adjacency of {len(adj)} rows for a {n_g}x{n_h} product")
-        self.parts = parts = list(parts)
-        for group_g, group_h, swap in parts:
-            for perms, order in ((group_g, n_g), (group_h, n_h)):
-                for perm in perms:
-                    if len(perm) != order:
-                        raise ValueError(
-                            f"permutation on {len(perm)} vertices for a factor of {order}"
-                            f" in a {n_g}x{n_h} product"
-                        )
-            if swap and n_g != n_h:
-                raise ValueError(f"swap on a {n_g}x{n_h} product, whose factors differ in order")
-        self.adj = adj
-        self.n_g, self.n_h, self.n = n_g, n_h, n_g * n_h
+    def __init__(self, prod: ProductGraph):
+        g, h = prod.left, prod.right
+        same = g == h
+        group_g = _factor_group(g)
+        group_h = group_g if same else _factor_group(h)
+        for factor, group in {g: group_g, h: group_h}.items():
+            identity = list(range(factor.n))
+            for perm in group[1:]:  # the identity comes first
+                if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
+                    raise AssertionError(f"factor permutation {perm} is a non-automorphism")
+        self.parts = [(group_g, group_h, False)]
+        if same and g.n > 1:  # on one vertex the swap is the identity
+            self.parts.append((group_g, group_h, True))
+        self.adj, self.n_g, self.n_h, self.n = prod.graph.adj, g.n, h.n, prod.graph.n
+
+    @staticmethod
+    def _of(adj: tuple[int, ...], n_g: int, n_h: int, parts: list) -> "Symmetry":
+        # the one path past the constructor's check: fix's already-checked lists
+        symmetry = object.__new__(Symmetry)
+        symmetry.adj, symmetry.n_g, symmetry.n_h, symmetry.n = adj, n_g, n_h, n_g * n_h
+        symmetry.parts = parts
+        return symmetry
+
+    def _trivial(self) -> bool:
+        return len(self.parts) == 1 and len(self.parts[0][0]) * len(self.parts[0][1]) == 1
 
     def orbit(self, v: int) -> int:
         n_h = self.n_h
@@ -427,43 +437,14 @@ class Symmetry:
             fix_h = [psi for psi in group_h if psi[y] == to_y]
             if fix_g and fix_h:
                 kept.append((fix_g, fix_h, swap))
-        if not kept or len(kept) == 1 and len(kept[0][0]) * len(kept[0][1]) == 1:
-            return None  # the identity alone
-        return Symmetry(self.adj, self.n_g, self.n_h, kept)
+        stabiliser = Symmetry._of(self.adj, self.n_g, self.n_h, kept)
+        return None if stabiliser._trivial() else stabiliser
 
 
 def product_symmetry(prod: ProductGraph) -> Symmetry | None:
-    """The symmetry of G x H that ``solve_bnb`` reads for a product, None
-    when it is the trivial group.
-
-    Each factor's group (``_factor_group``) holds the rotations and
-    reflections that its shift and reversal generate, where they preserve
-    adjacency: at most 2n permutations, listed once per factor.  The
-    product's group is theirs acting coordinatewise, with the factor swap
-    (a, b) -> (b, a) when G == H: a subgroup of Aut(G x H) (Hammack, Imrich
-    and Klavzar, *Handbook of Product Graphs*, 2011), since (phi, psi)
-    preserves the product's adjacency exactly when phi preserves G's and psi
-    H's.  So each factor element but the identity is checked against its
-    factor's adjacency here, once, with a raise; that costs the factor's
-    edges, not the product's.  The group is then the rectangle of the two
-    factor groups, and the same rectangle swapped when G == H
-    (``Symmetry``), which hold the factors' own lists.
-    """
-    g, h = prod.left, prod.right
-    same = g == h
-    group_g = _factor_group(g)
-    group_h = group_g if same else _factor_group(h)
-    for factor, group in {g: group_g, h: group_h}.items():
-        identity = list(range(factor.n))
-        for perm in group[1:]:  # the identity comes first
-            if sorted(perm) != identity or not _is_automorphism(factor.adj, perm):
-                raise AssertionError(f"factor permutation {perm} is a non-automorphism")
-    parts = [(group_g, group_h, False)]
-    if same and g.n > 1:  # on one vertex the swap is the identity
-        parts.append((group_g, group_h, True))
-    elif len(group_g) * len(group_h) == 1:
-        return None
-    return Symmetry(prod.graph.adj, g.n, h.n, parts)
+    """``Symmetry(prod)``, or None when it holds the identity alone."""
+    symmetry = Symmetry(prod)
+    return None if symmetry._trivial() else symmetry
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:

@@ -204,6 +204,14 @@ def _plain_fields(result) -> dict:
     return {k: sorted(v.vertices()) if isinstance(v, VertexSet) else v for k, v in plain.items()}
 
 
+def _isolated_factor(g: Graph, h: Graph) -> str | None:
+    """Why the pair cannot be solved, when a factor has an isolated vertex."""
+    for side, graph in (("left", g), ("right", h)):
+        if not graph.is_isolate_free():
+            return f"{side} factor has an isolated vertex"
+    return None
+
+
 def verify_pair(
     g: Graph,
     h: Graph,
@@ -214,9 +222,9 @@ def verify_pair(
     """Compute exact invariants and bounds for one factor pair, optionally
     replaying the full proof machinery on the product."""
     options = options or ScanOptions()
-    for side, graph in (("left", g), ("right", h)):
-        if not graph.is_isolate_free():
-            raise IsolateError(f"{side} factor has an isolated vertex")
+    isolated = _isolated_factor(g, h)
+    if isolated:
+        raise IsolateError(isolated)
     record = _new_record(emit_graph6(g), emit_graph6(h), g.n, h.n, left_id, right_id)
     cap = options.effective_cap()
     if g.n * h.n > cap:
@@ -359,13 +367,12 @@ class ScanSummary:
 def _pair_task(task) -> InstanceRecord:
     lid, g6g, rid, g6h, options = task
     g, h = parse_graph6(g6g), parse_graph6(g6h)
-    try:
-        return verify_pair(g, h, options, left_id=lid, right_id=rid)
-    except IsolateError as exc:
-        # an isolated factor becomes a skipped record, never aborts a scan
+    isolated = _isolated_factor(g, h)
+    if isolated:  # a skipped record, never an aborted scan
         record = _new_record(g6g, g6h, g.n, h.n, lid, rid)
-        record.skipped = f"error: {exc}"
+        record.skipped = f"error: {isolated}"
         return record
+    return verify_pair(g, h, options, left_id=lid, right_id=rid)
 
 
 def scan(spec, options: ScanOptions | None = None) -> ScanSummary:

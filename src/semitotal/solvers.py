@@ -523,17 +523,15 @@ def solve_bnb(g: Graph, kind: str, *, symmetry: Symmetry | None = None) -> Invar
 
     ``symmetry``, for the domination kinds, is a group of automorphisms of
     g held as rectangles of factor permutations, a ``graphs.Symmetry``
-    (``graphs.product_symmetry`` builds one for a product from each
-    factor's shift and reversal).  The search then branches over the
-    group's orbits at the root and over stabilisers' orbits below it
-    (``_search_kernel``), which keeps the value (module docstring).  The
-    witness may be another minimum set than the plain search's; the
-    identity alone gives the plain search's witness.  A symmetry built for
-    another graph than g, of g's order or not, raises ``ValueError``, as
-    does, in ``Symmetry``, a rectangle of the wrong shape;
-    ``product_symmetry`` raises ``AssertionError`` for a factor
-    permutation that is not an automorphism.  The symmetry is ignored for
-    rho.
+    (``graphs.Symmetry(prod)`` builds one for a product from each factor's
+    shift and reversal).  The search then branches over the group's orbits
+    at the root and over stabilisers' orbits below it (``_search_kernel``),
+    which keeps the value (module docstring).  The witness may be another
+    minimum set than the plain search's; the identity alone gives the plain
+    search's witness.  A symmetry built for another graph than g, of g's
+    order or not, raises ``ValueError``; ``Symmetry`` raises
+    ``AssertionError`` for a factor permutation that is not an
+    automorphism.  The symmetry is ignored for rho.
     """
     _check_kind(kind)
     _check_symmetry(g, symmetry)

@@ -35,5 +35,6 @@ def product_orbits(symmetry, n):
 
 def trivial_symmetry(graph):
     """The group of the identity alone on graph's vertices, as a Symmetry
-    of graph x K1: one rectangle of one element."""
-    return Symmetry(graph.adj, graph.n, 1, [([tuple(range(graph.n))], [(0,)], False)])
+    of graph x K1: one rectangle of one element, built by the private path
+    that ``fix`` takes, since the constructor builds only a product's group."""
+    return Symmetry._of(graph.adj, graph.n, 1, [([tuple(range(graph.n))], [(0,)], False)])

@@ -331,6 +331,14 @@ def test_verify_proof_rejects_out_of_range_product_cap(capsys, value):
     assert out == ""
 
 
+def test_verify_proof_over_the_product_cap_is_usage(capsys):
+    # path:7 x path:6 has 42 vertices, above the replay cap of 36
+    code, out, err = run(capsys, "verify-proof", "--left", "path:7", "--right", "path:6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: product on 42 vertices exceeds cap 36\n"
+
+
 def test_scan_rejects_threshold_den_zero_before_scanning(capsys, tmp_path):
     out_path = tmp_path / "z.jsonl"
     code, out, err = run(

@@ -16,7 +16,7 @@ from semitotal import (
     generate,
     product_symmetry,
 )
-from semitotal.graphs import PRODUCT_SIZE_CAP, _factor_group
+from semitotal.graphs import PRODUCT_SIZE_CAP, _bits, _factor_group
 from symmetry_helpers import product_images, product_orbits
 
 
@@ -432,26 +432,28 @@ def test_product_stabilisers_are_the_point_stabilisers_of_the_subgroup(left, rig
                 assert adj[p[w]] == sum(1 << p[x] for x in range(n) if adj[w] >> x & 1)
 
 
-def test_symmetry_rejects_an_element_of_the_wrong_shape():
-    # a rectangle holds permutations of G's vertices, permutations of H's
-    # and a flag for the factor swap, which needs factors of one order, and
-    # the product's adjacency has n_g n_h rows: anything else raises
-    # ValueError, under python -O too
-    adj12 = cartesian_product(generate("cycle", 3), generate("cycle", 4)).graph.adj
-    adj9 = cartesian_product(generate("cycle", 3), generate("cycle", 3)).graph.adj
-    identity3, rotate3, rotate4 = (0, 1, 2), (1, 2, 0), (1, 2, 3, 0)
-    plain = ([identity3, rotate3], [(0, 1, 2, 3), rotate4], False)
-    assert Symmetry(adj12, 3, 4, [plain]).n == 12
-    swapped = [([identity3], [identity3], False), ([identity3], [identity3], True)]
-    assert Symmetry(adj9, 3, 3, swapped).orbit(1) == 1 << 1 | 1 << 3
-    for adj, parts, match in [
-        (adj9, [plain], "adjacency of 9 rows for a 3x4 product"),
-        (adj12, [plain, ([rotate4], [rotate4], False)], "on 4 vertices for a factor of 3 in a 3x4"),
-        (adj12, [([rotate3], [rotate3], False)], "on 3 vertices for a factor of 4 in a 3x4"),
-        (adj12, [plain, ([rotate3], [rotate4], True)], "swap on a 3x4 product"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            Symmetry(adj, 3, 4, parts)
+def test_every_symmetry_element_is_an_automorphism_of_its_product():
+    # Symmetry(prod) builds the group of the product it is given, so every
+    # element it holds preserves that product's adjacency, on all the
+    # squares of small paths, cycles, complete graphs and stars; and
+    # product_symmetry is None exactly when the group is the identity alone
+    factors = [generate("path", n) for n in range(2, 7)]
+    factors += [generate("cycle", n) for n in range(3, 7)]
+    factors += [generate("complete", n) for n in range(2, 5)]
+    factors += [generate("star", n) for n in range(3, 6)]
+    trivial = 0
+    for g in factors:
+        for h in factors:
+            prod = cartesian_product(g, h)
+            n, adj = prod.graph.n, prod.graph.adj
+            elements = product_images(Symmetry(prod))
+            for p in elements:
+                assert sorted(p) == list(range(n)), (g.adj, h.adj, p)
+                for w in range(n):
+                    assert adj[p[w]] == sum(1 << p[x] for x in _bits(adj[w])), (g.adj, h.adj, p)
+            assert (product_symmetry(prod) is None) == (not elements), (g.adj, h.adj)
+            trivial += not elements
+    assert 0 < trivial < len(factors) ** 2
 
 
 def test_path_end_to_end_distance():

@@ -525,15 +525,25 @@ def test_scan_skips_an_isolated_factor_as_before():
     )
 
 
-def test_scan_raises_an_internal_error_instead_of_skipping(monkeypatch):
+@pytest.mark.parametrize(
+    "stage,error",
+    [
+        ("project_profiles", ValueError("internal fault")),
+        # only a factor's isolated vertex skips a pair, not an IsolateError
+        # from inside the solve
+        ("max_allied_set", IsolateError("vertex 3 is isolated")),
+    ],
+    ids=["value_error", "isolate_error"],
+)
+def test_scan_raises_an_internal_error_instead_of_skipping(monkeypatch, stage, error):
     import semitotal.harness
 
-    def broken(*args):
-        raise ValueError("internal fault")
+    def broken(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(semitotal.harness, "project_profiles", broken)
-    with pytest.raises(ValueError, match="internal fault"):
-        scan(parse_pair_spec("path:2 x path:2"), options())
+    monkeypatch.setattr(semitotal.harness, stage, broken)
+    with pytest.raises(type(error), match=str(error)):
+        scan(parse_pair_spec("path:3 x path:2"), options())
 
 
 def test_hunt_default_threshold_no_findings():
