@@ -116,6 +116,8 @@ def _make_options(args) -> ScanOptions:
 def _cmd_scan(args) -> int:
     if (args.spec is None) == (args.spec_json is None):
         raise _UsageError("scan needs exactly one of --spec or --spec-json")
+    if args.threshold_num < 1:
+        raise _UsageError("--threshold-num must be positive")
     if args.threshold_den <= 0:
         raise _UsageError("--threshold-den must be positive")
     csv_path = args.csv or Path(args.out).with_suffix(".csv")

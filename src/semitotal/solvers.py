@@ -67,6 +67,9 @@ KINDS = ("gamma", "gamma_t", "gamma_t2", "rho")
 
 ORACLE_VERTEX_LIMIT = 20
 
+# _BYTE_BITS[b] lists the set bit offsets of the byte b in ascending order
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
 
 class IsolateError(ValueError):
     """Isolated vertex where an isolate-free graph is required."""
@@ -294,10 +297,13 @@ def _search_kernel(
     members still needed: the counting bound ``need[|U|]`` on the |U|
     uncovered vertices, and the number of uncovered vertices with pairwise
     disjoint candidate sets, collected greedily in the scan that picks the
-    branching vertex (each needs its own member).  The scan returns as soon
-    as that number leaves no room under the incumbent or the budget.  A
-    vertex with no candidate left counts as disjoint; a scan that goes on
-    past it branches on it (no count is lower), with no child.
+    branching vertex (each needs its own member).  The scan walks the
+    uncovered mask a byte at a time and reads each nonzero byte's set bits
+    from ``_BYTE_BITS``, so it visits the uncovered vertices in ascending
+    order, as ``_bits`` does, and returns as soon as that number leaves no
+    room under the incumbent or the budget.  A vertex with no candidate
+    left counts as disjoint; a scan that goes on past it branches on it (no
+    count is lower), with no child.
 
     ``need[c]`` is ceil(c * num / den).  For gamma (num, den) is
     (1, max degree + 1), since a member covers at most den vertices, and
@@ -330,6 +336,7 @@ def _search_kernel(
     """
     n = g.n
     full = (1 << n) - 1
+    nbytes = (n + 7) // 8
     cover, partners, negdeg, need, cover_ranked, partner_ranked = tables
     first = incumbent is None
     best = incumbent
@@ -345,20 +352,22 @@ def _search_kernel(
                 return False
             keep = ~excluded
             branch, branch_count, used, disjoint = -1, n + 1, 0, 0
-            rest = uncovered
-            while rest:  # _bits(uncovered) inlined: this is the hot loop
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                options = cover[u] & keep
-                if not options & used:  # also a vertex with no candidate left
-                    used |= options
-                    disjoint += 1
-                    if disjoint >= room:
-                        return False
-                count = options.bit_count()
-                if count < branch_count:
-                    branch, branch_count = u, count
+            base = -8  # the hot loop: each byte's set bits from a table, ascending
+            for byte in uncovered.to_bytes(nbytes, "little"):
+                base += 8
+                if not byte:
+                    continue
+                for u in _BYTE_BITS[byte]:
+                    u += base
+                    options = cover[u] & keep
+                    if not options & used:  # also a vertex with no candidate left
+                        used |= options
+                        disjoint += 1
+                        if disjoint >= room:
+                            return False
+                    count = options.bit_count()
+                    if count < branch_count:
+                        branch, branch_count = u, count
             if disjoint > bound:
                 bound = disjoint
             ranked, rows = cover_ranked, cover
@@ -366,7 +375,7 @@ def _search_kernel(
             branch = -1
             if partners is not None:
                 rest = chosen
-                while rest:  # _bits(chosen) inlined, as above
+                while rest:  # _bits(chosen) inlined
                     low = rest & -rest
                     rest ^= low
                     u = low.bit_length() - 1

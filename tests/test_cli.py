@@ -359,6 +359,27 @@ def test_scan_rejects_threshold_den_zero_before_scanning(capsys, tmp_path):
     assert not out_path.exists() and not (tmp_path / "z.csv").exists()
 
 
+@pytest.mark.parametrize("num", ["0", "-3"])
+def test_scan_rejects_threshold_num_below_one_before_scanning(capsys, tmp_path, num):
+    out_path = tmp_path / "z.jsonl"
+    code, out, err = run(
+        capsys,
+        "scan",
+        "--spec",
+        "path:2 x path:2",
+        "--out",
+        str(out_path),
+        "--workers",
+        "1",
+        "--threshold-num",
+        num,
+    )
+    assert code == 2
+    assert "--threshold-num" in err
+    assert out == ""
+    assert not out_path.exists() and not (tmp_path / "z.csv").exists()
+
+
 def test_verify_proof_table(capsys):
     code, out, _ = run(capsys, "verify-proof", "--left", "cycle:6", "--right", "path:3")
     assert code == 0

@@ -30,9 +30,9 @@ from semitotal import (
     solve_bnb,
     solve_oracle,
 )
-from semitotal.graphs import Symmetry
+from semitotal.graphs import Symmetry, _bits
 from semitotal.solvers import _PREDICATES as MASK_PREDICATES
-from semitotal.solvers import _kernel_tables, _search_kernel
+from semitotal.solvers import _BYTE_BITS, _kernel_tables, _search_kernel
 from symmetry_helpers import trivial_symmetry
 
 PREDICATES = {
@@ -728,6 +728,62 @@ def test_candidate_order_is_pinned():
     prod = cartesian_product(parse_graph6("IG_O??Bo_"), generate("cycle", 3))
     symmetry = product_symmetry(prod)
     assert _search_calls(lexleast_min_semitotal_set, prod.graph, symmetry=symmetry) == 16_288
+
+
+def test_byte_table_lists_each_bytes_set_bits_ascending():
+    assert len(_BYTE_BITS) == 256
+    for byte, offsets in enumerate(_BYTE_BITS):
+        assert offsets == tuple(i for i in range(8) if byte >> i & 1), byte
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 4_096])
+def test_byte_walk_visits_the_bits_of_a_mask_in_ascending_order(width):
+    # the kernel's uncovered scan, walked outside the kernel
+    def walk(mask):
+        base = -8
+        for byte in mask.to_bytes((width + 7) // 8, "little"):
+            base += 8
+            for i in _BYTE_BITS[byte]:
+                yield base + i
+
+    rng = random.Random(width)
+    masks = [0, (1 << width) - 1, 1 << width - 1]
+    masks += [rng.getrandbits(width) for _ in range(20)]
+    masks += [sum(1 << v for v in range(width) if rng.random() < 0.01) for _ in range(5)]
+    for mask in masks:
+        assert list(walk(mask)) == list(_bits(mask)), (width, hex(mask))
+
+
+@pytest.mark.parametrize(
+    "left,right,expected",
+    [
+        (("path", 4), ("path", 2), (4, 1, 5, 5, 17, 38)),
+        (("path", 3), ("path", 3), (4, 1, 4, 3, 12, 32)),
+        (("path", 4), ("path", 4), (11, 1, 57, 45, 77, 218)),
+        (("cycle", 17), None, (1, 1, 16, 16, 24, 621)),
+        (("path", 6), ("path", 4), (47, 1, 191, 167, 316, 902)),
+        (("cycle", 5), ("cycle", 5), (1, 224, 927, 68, 165, 9_064)),
+    ],
+)
+def test_search_calls_at_byte_edges_are_pinned(left, right, expected):
+    # graphs on 8, 9, 16, 17, 24 and 25 vertices, where the scan's last byte
+    # is full or holds one vertex; 17 is prime, so that one is a cycle, not
+    # a product.  Per graph: gamma, gamma_t and gamma_t2 without a group,
+    # gamma_t2 and lexleast with the product's group, and the enumeration.
+    # Equalities, as in test_candidate_order_is_pinned
+    if right is None:
+        g, symmetry = generate(*left), None
+    else:
+        prod = cartesian_product(generate(*left), generate(*right))
+        g, symmetry = prod.graph, product_symmetry(prod)
+    assert g.n in (8, 9, 16, 17, 24, 25)
+    counts = tuple(_search_calls(solve_bnb, g, kind) for kind in ("gamma", "gamma_t", "gamma_t2"))
+    counts += (
+        _search_calls(solve_bnb, g, "gamma_t2", symmetry=symmetry),
+        _search_calls(lexleast_min_semitotal_set, g, symmetry=symmetry),
+        _search_calls(enumerate_min_semitotal_sets, g),
+    )
+    assert counts == expected
 
 
 def test_stabilisers_are_built_only_by_nodes_that_branch(monkeypatch):
