@@ -1,28 +1,32 @@
 """Command-line surface.
 
-Subcommands: solve, product, scan, verify-proof, report.  Exit codes are a
-stable contract: 0 success, 2 usage or parse error, 3 violated precondition
-(isolated vertex where an isolate-free graph is required), 4 a bound
-violation was found (monitorable as a distinct failure class).  Bad input is
-turned into a usage error where it enters, an undecodable input file and a
-named input or output file that cannot be read or written included; any
-other exception is an internal error and exits 1 with a traceback, an
-``OSError`` on stdout or from the worker pool too.
+Subcommands: solve, product, scan, verify-proof, report.  Graphs enter
+through ``io``: a factor token (``path:4``, ``random:6:p0.5:s11``,
+``g6:Cr``), a spec or a graph6 file.  Exit codes are a stable contract: 0
+success, 2 usage or parse error, 3 violated precondition (isolated vertex
+where an isolate-free graph is required), 4 a bound violation was found
+(monitorable as a distinct failure class).  Bad input is turned into a usage
+error where it enters, an undecodable input file and a named input or output
+file that cannot be read or written included; any other exception is an
+internal error and exits 1 with a traceback, an ``OSError`` on stdout or
+from the worker pool too.
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .graphs import FAMILIES, PRODUCT_SIZE_CAP, Graph, cartesian_product, generate
+from .graphs import PRODUCT_SIZE_CAP, Graph, cartesian_product
 from .harness import REPLAY_CHECKS, ScanOptions, hunt_from_records, scan, verify_pair
 from .io import (
     FamilySpecError,
     load_spec_json,
     parse_factor_token,
     parse_pair_spec,
+    read_graph6_file,
     read_jsonl,
     render_report,
     write_csv,
@@ -50,41 +54,25 @@ def _user_file():
         raise _UsageError(str(exc)) from None
 
 
-def _load_single_graph(args) -> Graph:
-    sources = [
-        args.family is not None,
-        args.graph6 is not None,
-        args.graph6_file is not None,
-    ]
-    if sum(sources) != 1:
-        raise _UsageError("exactly one graph source required (--family / --graph6 / --graph6-file)")
-    if args.family is not None:
-        if args.n is None:
-            raise _UsageError("--family needs --n")
-        try:
-            return generate(args.family, args.n, p=args.p, seed=args.seed)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    if args.graph6 is not None:
-        return parse_graph6(args.graph6)
-    with _user_file():
-        text = Path(args.graph6_file).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 1:
-        raise _UsageError(f"{args.graph6_file}: expected exactly one graph6 line, found {len(lines)}")
-    return parse_graph6(lines[0])
-
-
-def _factor_from_token(token: str):
-    entries = parse_factor_token(token)
+def _one_graph(entries: list[tuple[str, str]], source: str) -> tuple[str, Graph]:
     if len(entries) != 1:
-        raise _UsageError(f"token {token!r} must name exactly one graph here")
+        raise _UsageError(f"{source} must name exactly one graph here")
     ident, graph6 = entries[0]
     return ident, parse_graph6(graph6)
 
 
+def _factor_from_token(token: str) -> tuple[str, Graph]:
+    return _one_graph(parse_factor_token(token), f"token {token!r}")
+
+
 def _cmd_solve(args) -> int:
-    graph = _load_single_graph(args)
+    if (args.graph is None) == (args.graph6_file is None):
+        raise _UsageError("exactly one graph source required (--graph / --graph6-file)")
+    if args.graph is not None:
+        _, graph = _factor_from_token(args.graph)
+    else:
+        entries = read_graph6_file(args.graph6_file)
+        _, graph = _one_graph(entries, f"graph6 file {args.graph6_file}")
     result = solve_bnb(graph, args.kind)
     witness = ",".join(map(str, sorted(result.witness.vertices())))
     print(f"{result.value} [{witness}]")
@@ -123,8 +111,12 @@ def _cmd_scan(args) -> int:
     csv_path = args.csv or Path(args.out).with_suffix(".csv")
     if Path(args.out).resolve() == Path(csv_path).resolve():
         raise _UsageError(f"--out and the CSV path are the same file: {args.out}")
+    # a missing or read-only directory fails here, not after every pair is solved
+    for path in (Path(args.out), Path(csv_path)):
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise _UsageError(f"cannot write {path}: {path.parent} is not a writable directory")
     options = _make_options(args)
-    spec = parse_pair_spec(args.spec) if args.spec else load_spec_json(args.spec_json)
+    spec = parse_pair_spec(args.spec) if args.spec is not None else load_spec_json(args.spec_json)
     summary = scan(spec, options)
     with _user_file():
         write_jsonl(args.out, summary.records)
@@ -182,11 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute one invariant of one graph")
-    solve.add_argument("--family", choices=FAMILIES)
-    solve.add_argument("--n", type=int)
-    solve.add_argument("--p", type=float, help="edge probability for --family random")
-    solve.add_argument("--seed", type=int, help="PRNG seed for --family random")
-    solve.add_argument("--graph6", help="graph6 string")
+    solve.add_argument("--graph", help="factor token, e.g. path:4, random:6:p0.5:s11 or g6:A_")
     solve.add_argument("--graph6-file", help="file holding one graph6 line")
     solve.add_argument("--kind", required=True, choices=KINDS)
     solve.set_defaults(func=_cmd_solve)

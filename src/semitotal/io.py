@@ -1,12 +1,13 @@
 """Family-spec parsing, JSONL persistence, the CSV export and the report.
 
-The scan grammar is shell-friendly: factor tokens like ``path:3`` or
-``paths:2-5`` (singular and plural both accepted), comma-separated on each
-side of an ``x`` pair separator.  Random families and graph6 files need the
-JSON spec form, which carries seeds.  JSONL files start with a schema/version
-header line; every record line parses back to an equal record, and the
-report is rendered from those records.  The CSV is an export that nothing
-reads back.
+The one module that turns text into graphs.  Factor tokens like ``path:3``,
+``paths:2-5`` (singular and plural both accepted), ``random:6:p0.5:s11`` or
+``g6:<graph6>`` are comma-separated on each side of an ``x`` pair separator;
+the JSON spec form adds graph6 files.  Every id a spec resolves to, ``file:``
+ids aside, is a token for the same graph.  JSONL files start with a
+schema/version header line; every record line parses back to an equal
+record, and the report is rendered from those records.  The CSV is an
+export that nothing reads back.
 """
 
 import csv
@@ -21,11 +22,8 @@ from .harness import REPLAY_CHECKS, InstanceRecord, summarize
 
 SCHEMA_VERSION = 1
 
-# Singular and plural name of each family a token can name; random graphs
-# need the JSON form, which carries p and seed.
-_FAMILY_NAMES = {
-    alias: name for name in FAMILIES if name != "random" for alias in (name, f"{name}s")
-}
+# Singular and plural name of each family a token can name
+_FAMILY_NAMES = {alias: name for name in FAMILIES for alias in (name, f"{name}s")}
 
 
 class FamilySpecError(ValueError):
@@ -40,16 +38,6 @@ class FamilySpec:
     right: tuple[tuple[str, str], ...]
 
 
-def _generated(ident: str, name: str, n: int, **params) -> tuple[str, str]:
-    """(ident, graph6) of a generated family member; a parameter that
-    ``generate`` refuses is a spec error."""
-    try:
-        graph = generate(name, n, **params)
-    except ValueError as exc:
-        raise FamilySpecError(str(exc)) from None
-    return ident, emit_graph6(graph)
-
-
 def _graph6_entry(text: str) -> tuple[str, str]:
     """(``g6:<graph6>``, graph6) of a graph given as graph6 text, re-emitted
     so that the same graph always gets the same id."""
@@ -57,18 +45,26 @@ def _graph6_entry(text: str) -> tuple[str, str]:
     return f"g6:{graph6}", graph6
 
 
-def _orders(name: str, lo: int, hi: int) -> range:
+def _resolve_family(name: str, lo: int, hi: int, p=None, seed=None) -> list[tuple[str, str]]:
+    """(id, graph6) of each member of order lo..hi.  A random member's id,
+    ``random:n:pP:sS``, carries the p and seed that draw it again; a
+    parameter that ``generate`` refuses is a spec error."""
     if hi < lo:
         raise FamilySpecError(f"empty range {lo}-{hi} for family {name}")
-    return range(lo, hi + 1)
-
-
-def _resolve_family(name: str, lo: int, hi: int) -> list[tuple[str, str]]:
-    return [_generated(f"{name}:{n}", name, n) for n in _orders(name, lo, hi)]
+    params = f":p{p}:s{seed}" if name == "random" else ""
+    entries = []
+    for n in range(lo, hi + 1):
+        try:
+            graph = generate(name, n, p=p, seed=seed)
+        except ValueError as exc:
+            raise FamilySpecError(str(exc)) from None
+        entries.append((f"{name}:{n}{params}", emit_graph6(graph)))
+    return entries
 
 
 def parse_factor_token(token: str) -> list[tuple[str, str]]:
-    """One token: ``name:n``, ``name:lo-hi``, or ``g6:<graph6>``."""
+    """One token: ``name:n``, ``name:lo-hi``, ``random:n:pP:sS``,
+    ``random:lo-hi:pP:sS``, or ``g6:<graph6>``."""
     token = token.strip()
     if not token:
         raise FamilySpecError("empty factor token")
@@ -80,13 +76,24 @@ def parse_factor_token(token: str) -> list[tuple[str, str]]:
     family = _FAMILY_NAMES.get(name.lower())
     if family is None:
         raise FamilySpecError(f"unknown family {name!r} in token {token!r}")
+    spec, *params = spec.split(":")
+    p = seed = None
+    if family == "random":
+        if len(params) != 2 or params[0][:1] != "p" or params[1][:1] != "s":
+            raise FamilySpecError(f"random token {token!r} needs random:n:pP:sS")
+        try:
+            p, seed = float(params[0][1:]), int(params[1][1:])
+        except ValueError:
+            raise FamilySpecError(f"bad p or seed in token {token!r}") from None
+    elif params:
+        raise FamilySpecError(f"bad range in token {token!r}")
     lo, sep, hi = spec.partition("-")
     try:
         lo_n = int(lo)
         hi_n = int(hi) if sep else lo_n
     except ValueError:
         raise FamilySpecError(f"bad range in token {token!r}") from None
-    return _resolve_family(family, lo_n, hi_n)
+    return _resolve_family(family, lo_n, hi_n, p, seed)
 
 
 def _resolve_side(text: str) -> tuple[tuple[str, str], ...]:
@@ -114,22 +121,12 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
         if key in entry and not isinstance(entry[key], str):
             raise FamilySpecError(f"spec entry {entry} needs a string {key!r}")
     if "graph6_file" in entry:
-        path = base / entry["graph6_file"]
-        try:
-            lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise FamilySpecError(f"cannot read graph6 file: {exc}") from None
-        if not lines:
-            raise FamilySpecError(f"graph6 file {path} holds no graphs")
-        return [
-            (f"file:{path.name}:{i + 1}", emit_graph6(parse_graph6(ln)))
-            for i, ln in enumerate(lines)
-        ]
+        return read_graph6_file(base / entry["graph6_file"])
     if "graph6" in entry:
         return [_graph6_entry(entry["graph6"])]
     if "family" not in entry:
         raise FamilySpecError(f"spec entry {entry} names neither family nor graph6")
-    name = str(entry["family"]).lower()
+    family = _FAMILY_NAMES.get(str(entry["family"]).lower())
     # the orders: n alone, or n_min and n_max together
     given = [key for key in ("n", "n_min", "n_max") if key in entry]
     if given == ["n"]:
@@ -144,22 +141,32 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
         missing = "n_max" if given == ["n_min"] else "n_min"
         raise FamilySpecError(f"spec entry {entry} gives {given[0]!r} without {missing!r}")
     try:
-        p, seed = (entry["p"], entry["seed"]) if name == "random" else (0, 0)
+        p, seed = (entry["p"], entry["seed"]) if family == "random" else (0, 0)
     except KeyError as exc:
         raise FamilySpecError(f"random spec entry {entry} needs {exc.args[0]!r}") from None
     # orders and seeds are JSON integers and p a JSON number; a bool is neither
     if not all(type(x) is int for x in (lo, hi, seed)) or type(p) not in (int, float):
         raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed")
-    p = float(p)
-    if name == "random":
-        return [
-            _generated(f"random:{n}:p{p}:s{seed}", "random", n, p=p, seed=seed)
-            for n in _orders(name, lo, hi)
-        ]
-    family = _FAMILY_NAMES.get(name)
     if family is None:
         raise FamilySpecError(f"unknown family {entry['family']!r}")
-    return _resolve_family(family, lo, hi)
+    return _resolve_family(family, lo, hi, float(p), seed)
+
+
+def read_graph6_file(path: str | Path) -> list[tuple[str, str]]:
+    """(``file:<name>:<k>``, graph6) of the k-th graph6 line of a file,
+    blank lines not counted; a file that cannot be read or holds no graph is
+    a spec error."""
+    path = Path(path)
+    try:
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    except OSError as exc:
+        raise FamilySpecError(f"cannot read graph6 file: {exc}") from None
+    if not lines:
+        raise FamilySpecError(f"graph6 file {path} holds no graphs")
+    return [
+        (f"file:{path.name}:{i + 1}", emit_graph6(parse_graph6(ln)))
+        for i, ln in enumerate(lines)
+    ]
 
 
 def load_spec_json(path: str | Path) -> FamilySpec:

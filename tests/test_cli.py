@@ -4,6 +4,7 @@ import pytest
 
 from semitotal import parse_graph6
 from semitotal.cli import main
+from semitotal.io import parse_factor_token
 
 
 def run(capsys, *argv):
@@ -13,27 +14,38 @@ def run(capsys, *argv):
 
 
 def test_solve_family(capsys):
-    code, out, _ = run(capsys, "solve", "--family", "path", "--n", "2", "--kind", "gamma_t2")
+    code, out, _ = run(capsys, "solve", "--graph", "path:2", "--kind", "gamma_t2")
     assert code == 0
     assert out.strip() == "2 [0,1]"
 
 
 def test_solve_graph6_rho(capsys):
-    code, out, _ = run(capsys, "solve", "--graph6", "A_", "--kind", "rho")
+    code, out, _ = run(capsys, "solve", "--graph", "g6:A_", "--kind", "rho")
     assert code == 0
     assert out.strip() == "1 [0]"
 
 
 def test_solve_invalid_cycle_usage(capsys):
-    code, _, err = run(capsys, "solve", "--family", "cycle", "--n", "2", "--kind", "gamma")
+    code, _, err = run(capsys, "solve", "--graph", "cycle:2", "--kind", "gamma")
     assert code == 2
     assert "cycle" in err
 
 
 def test_solve_random_without_p_is_usage(capsys):
-    code, _, err = run(capsys, "solve", "--family", "random", "--n", "5", "--kind", "gamma")
-    assert code == 2
-    assert "0 <= p <= 1" in err
+    for token in ("random:5", "random:5:s1", "random:5:p0.5", "random:5:s1:p0.5"):
+        code, out, err = run(capsys, "solve", "--graph", token, "--kind", "gamma")
+        assert code == 2
+        assert "needs random:n:pP:sS" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("kind,expected", [("gamma_t2", "3 [0,2,4]\n"), ("rho", "2 [0,5]\n")])
+def test_solve_random_token(capsys, kind, expected):
+    # the graph and the output that --family random --n 6 --p 0.5 --seed 11
+    # gave before random graphs were tokens
+    code, out, _ = run(capsys, "solve", "--graph", "random:6:p0.5:s11", "--kind", kind)
+    assert code == 0
+    assert out == expected
 
 
 def test_solve_undecodable_graph6_file_is_usage(capsys, tmp_path):
@@ -46,21 +58,23 @@ def test_solve_undecodable_graph6_file_is_usage(capsys, tmp_path):
 
 def test_solve_isolate_precondition(capsys):
     # "A?" is the 2-vertex edgeless graph
-    code, _, err = run(capsys, "solve", "--graph6", "A?", "--kind", "gamma_t2")
+    code, _, err = run(capsys, "solve", "--graph", "g6:A?", "--kind", "gamma_t2")
     assert code == 3
     assert "isolate" in err
 
 
-def test_solve_conflicting_sources(capsys):
-    code, _, err = run(
-        capsys, "solve", "--family", "path", "--n", "2", "--graph6", "A_", "--kind", "gamma"
-    )
-    assert code == 2
-    assert "exactly one" in err
+def test_solve_conflicting_sources(capsys, tmp_path):
+    # both sources, or neither
+    path = tmp_path / "one.g6"
+    path.write_text("A_\n")
+    for sources in (["--graph", "path:2", "--graph6-file", str(path)], []):
+        code, _, err = run(capsys, "solve", *sources, "--kind", "gamma")
+        assert code == 2
+        assert "exactly one" in err
 
 
 def test_solve_bad_graph6(capsys):
-    code, _, err = run(capsys, "solve", "--graph6", "", "--kind", "gamma")
+    code, _, err = run(capsys, "solve", "--graph", "g6:", "--kind", "gamma")
     assert code == 2
     assert "empty" in err
 
@@ -71,6 +85,23 @@ def test_solve_graph6_file(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--graph6-file", str(path), "--kind", "gamma")
     assert code == 0
     assert out.strip() == "1 [0]"
+
+
+def test_solve_graph6_file_with_two_graphs_is_usage(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text("A_\n\nBw\n")
+    code, out, err = run(capsys, "solve", "--graph6-file", str(path), "--kind", "gamma")
+    assert code == 2
+    assert "exactly one graph" in err
+    assert out == ""
+
+
+def test_solve_no_longer_takes_family_flags(capsys):
+    # --family, --n, --p, --seed and --graph6 gave way to one factor token
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--family", "path", "--n", "4", "--p", "0.9", "--kind", "gamma_t2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_product_emits_four_cycle(capsys):
@@ -85,6 +116,16 @@ def test_product_rejects_range_token(capsys):
     code, _, err = run(capsys, "product", "--left", "paths:2-3", "--right", "path:2")
     assert code == 2
     assert "exactly one" in err
+
+
+def test_product_and_verify_proof_take_random_factors(capsys):
+    code, out, _ = run(capsys, "product", "--left", "random:6:p0.5:s11", "--right", "path:2")
+    assert code == 0
+    assert parse_graph6(out.strip()).n == 12
+    code, out, _ = run(capsys, "verify-proof", "--left", "random:6:p0.5:s11", "--right", "path:2")
+    assert code == 0
+    assert "instance       random:6:p0.5:s11 x path:2" in out
+    assert "pi_valid       pass" in out
 
 
 def test_product_over_size_cap_is_usage(capsys):
@@ -137,6 +178,15 @@ def test_scan_requires_exactly_one_spec(capsys, tmp_path):
     assert "exactly one" in err
 
 
+def test_scan_empty_spec_is_usage(capsys, tmp_path):
+    out_path = tmp_path / "e.jsonl"
+    code, out, err = run(capsys, "scan", "--spec", "", "--out", str(out_path))
+    assert code == 2
+    assert "empty factor token" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_json_spec(capsys, tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
@@ -157,6 +207,34 @@ def test_scan_json_spec(capsys, tmp_path):
     assert len(lines) == 3
     record = json.loads(lines[1])
     assert record["left_id"] == "random:5:p0.5:s2"
+
+
+def test_every_generated_id_that_scan_writes_parses_back(capsys, tmp_path):
+    # an id names its graph: each left_id and right_id, file: ids aside, is a
+    # factor token for exactly the graph6 the record holds
+    (tmp_path / "g.g6").write_text("Bw\n")
+    spec = {
+        "left": [
+            {"family": "random", "n_min": 4, "n_max": 6, "p": 0.5, "seed": 11},
+            {"graph6": "Bw"},
+        ],
+        "right": [{"family": "paths", "n_min": 2, "n_max": 3}, {"graph6_file": "g.g6"}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "ids.jsonl"
+    argv = ["scan", "--spec-json", str(spec_path), "--out", str(out_path), "--no-replay"]
+    code, _, _ = run(capsys, *argv, "--workers", "1")
+    assert code == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
+    assert len(records) == 12
+    pairs = {(r["left_id"], r["graph6_g"]) for r in records}
+    pairs |= {(r["right_id"], r["graph6_h"]) for r in records}
+    generated = {pair for pair in pairs if not pair[0].startswith("file:")}
+    assert {ident.split(":")[0] for ident, _ in generated} == {"random", "g6", "path"}
+    assert len(generated) == len(pairs) - 1 == 6
+    for ident, graph6 in generated:
+        assert parse_factor_token(ident) == [(ident, graph6)]
 
 
 @pytest.mark.parametrize("key", ["p", "seed"])
@@ -212,12 +290,28 @@ def test_solve_missing_graph6_file_is_usage(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
-def test_scan_unwritable_output_is_usage(capsys, tmp_path, flag):
+def test_scan_unwritable_output_is_usage(capsys, tmp_path, monkeypatch, flag):
+    # an output in a missing directory is refused before any pair is solved
+    def solved(*args, **kwargs):
+        raise AssertionError("scan ran before the output paths were checked")
+
+    monkeypatch.setattr("semitotal.cli.scan", solved)
     argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "o.jsonl"), "--workers", "1"]
     argv += [flag, str(tmp_path / "no-such-dir" / "o.out")]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "no-such-dir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_output_that_fails_after_solving_is_usage(capsys, tmp_path):
+    # the directory check passes, and the write itself fails
+    (tmp_path / "o.jsonl").mkdir()
+    argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "o.jsonl"), "--workers", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "o.jsonl" in err
+    assert out == ""
 
 
 def test_scan_internal_os_error_is_not_usage(tmp_path, monkeypatch):

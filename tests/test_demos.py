@@ -1,7 +1,8 @@
 """Each demo script, and the README's library quickstart, runs to completion
-in a fresh working directory."""
+in a fresh working directory, and the README's commands print what they say."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import semitotal
+from semitotal.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -50,3 +52,21 @@ def test_readme_quickstart(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == len(prints)
     assert {i: lines[i] for i in expected} == expected
+
+
+def test_readme_command_lines(capsys):
+    # each line of the command-line block commented # -> "..." runs through
+    # the CLI and must print exactly the quoted line
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    checked = []
+    for line in block.splitlines():
+        command, sep, comment = line.partition("# -> ")
+        if sep:
+            assert comment[0] == comment[-1] == '"', line
+            argv = shlex.split(command)
+            assert argv[0] == "semitotal", line
+            assert main(argv[1:]) == 0, line
+            assert capsys.readouterr().out == comment[1:-1] + "\n", line
+            checked.append(argv[1])
+    assert checked == ["solve", "solve", "solve", "product"]

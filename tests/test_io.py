@@ -42,8 +42,26 @@ def test_token_graph6():
     assert entries == [("g6:A_", "A_")]
 
 
+def test_token_random_is_the_json_random_entry(tmp_path):
+    # a random token draws what the JSON entry with the same n, p and seed
+    # draws, under the same ids; a p of 1 is written 1.0 by both
+    entries = parse_factor_token("randoms:4-6:p0.5:s11")
+    assert [i for i, _ in entries] == [f"random:{n}:p0.5:s11" for n in (4, 5, 6)]
+    spec_path = tmp_path / "spec.json"
+    entry = {"family": "random", "n_min": 4, "n_max": 6, "p": 0.5, "seed": 11}
+    spec_path.write_text(json.dumps({"left": [entry], "right": [{"family": "path", "n": 2}]}))
+    assert list(load_spec_json(spec_path).left) == entries
+    (ident, _), = parse_factor_token("random:4:p1:s3")
+    assert ident == "random:4:p1.0:s3"
+
+
 def test_token_errors():
-    for bad in ("", "path", "path:", "ladder:3", "path:5-2", "cycle:2"):
+    bad_tokens = (
+        "", "path", "path:", "ladder:3", "path:5-2", "cycle:2", "path:4:p0.5:s1",
+        "random:5", "random:5:p0.5", "random:5:s1:p0.5", "random:5:px:s1", "random:5:p0.5:s1.5",
+        "random:5:p2:s1", "random:5:pnan:s1", "random:5-3:p0.5:s1",
+    )
+    for bad in bad_tokens:
         with pytest.raises(FamilySpecError):
             parse_factor_token(bad)
 

@@ -54,7 +54,7 @@ import os
 from semitotal.cli import main
 out = os.path.join(sys.argv[1], "scan.jsonl")
 codes = [
-    main(["solve", "--family", "path", "--n", "4", "--kind", "gamma_t2"]),
+    main(["solve", "--graph", "path:4", "--kind", "gamma_t2"]),
     main(["product", "--left", "path:2", "--right", "path:3"]),
     main(["scan", "--spec", "path:2 x paths:2-3", "--out", out, "--workers", "1"]),
     main(["verify-proof", "--left", "path:2", "--right", "path:3"]),
