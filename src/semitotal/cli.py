@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
@@ -111,8 +112,11 @@ def _cmd_scan(args) -> int:
     csv_path = args.csv or Path(args.out).with_suffix(".csv")
     if Path(args.out).resolve() == Path(csv_path).resolve():
         raise _UsageError(f"--out and the CSV path are the same file: {args.out}")
-    # a missing or read-only directory fails here, not after every pair is solved
+    # a directory, or a missing or read-only parent, fails here, not after
+    # every pair is solved
     for path in (Path(args.out), Path(csv_path)):
+        if path.is_dir():
+            raise _UsageError(f"cannot write {path}: it is a directory")
         if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
             raise _UsageError(f"cannot write {path}: {path.parent} is not a writable directory")
     options = _make_options(args)
@@ -170,21 +174,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semitotal",
         description="Exact semi-total domination laboratory for Cartesian products.",
+        allow_abbrev=False,
     )
+    # no prefix matching anywhere: an abbreviated or removed flag is a usage error
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    solve = sub.add_parser("solve", help="compute one invariant of one graph")
+    solve = command("solve", help="compute one invariant of one graph")
     solve.add_argument("--graph", help="factor token, e.g. path:4, random:6:p0.5:s11 or g6:A_")
     solve.add_argument("--graph6-file", help="file holding one graph6 line")
     solve.add_argument("--kind", required=True, choices=KINDS)
     solve.set_defaults(func=_cmd_solve)
 
-    product = sub.add_parser("product", help="emit graph6 of a Cartesian product")
+    product = command("product", help="emit graph6 of a Cartesian product")
     product.add_argument("--left", required=True, help="factor token, e.g. path:2 or g6:A_")
     product.add_argument("--right", required=True)
     product.set_defaults(func=_cmd_product)
 
-    scan_p = sub.add_parser("scan", help="verify bounds over a factor grid")
+    scan_p = command("scan", help="verify bounds over a factor grid")
     scan_p.add_argument("--spec", help='grammar spec, e.g. "paths:2-4 x cycles:3-5"')
     scan_p.add_argument("--spec-json", help="JSON spec file (random families, graph6 files)")
     scan_p.add_argument("--out", required=True, help="JSONL output path")
@@ -198,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--threshold-den", type=int, default=2, help="ratio threshold denominator")
     scan_p.set_defaults(func=_cmd_scan)
 
-    verify = sub.add_parser("verify-proof", help="full replay on one pair, per-check table")
+    verify = command("verify-proof", help="full replay on one pair, per-check table")
     verify.add_argument("--left", required=True)
     verify.add_argument("--right", required=True)
     verify.add_argument("--product-cap", type=int, default=None)
     verify.set_defaults(func=_cmd_verify_proof)
 
-    report = sub.add_parser("report", help="render a scan JSONL as a table and its summary")
+    report = command("report", help="render a scan JSONL as a table and its summary")
     report.add_argument("--jsonl", required=True)
     report.set_defaults(func=_cmd_report)
 

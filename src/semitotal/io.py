@@ -149,7 +149,11 @@ def _resolve_json_entry(entry: dict, base: Path) -> list[tuple[str, str]]:
         raise FamilySpecError(f"spec entry {entry} needs numeric n, p and seed")
     if family is None:
         raise FamilySpecError(f"unknown family {entry['family']!r}")
-    return _resolve_family(family, lo, hi, float(p), seed)
+    try:
+        p = float(p)
+    except OverflowError:  # an integer p beyond float range
+        raise FamilySpecError(f"random spec entry {entry} needs 0 <= p <= 1") from None
+    return _resolve_family(family, lo, hi, p, seed)
 
 
 def read_graph6_file(path: str | Path) -> list[tuple[str, str]]:
@@ -176,7 +180,7 @@ def load_spec_json(path: str | Path) -> FamilySpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer too long to read
         raise FamilySpecError(f"cannot load spec file: {exc}") from None
     base = path.parent
 

@@ -221,7 +221,7 @@ def _kernel_tables(g: Graph, kind: str) -> tuple:
     members still needed to cover c vertices (see ``_search_kernel``), and
     the ranked rows ``cover_ranked`` and ``partner_ranked``, whose entry u
     lists cover[u] or partners[u] by degree descending, least index on
-    ties.  The kernel fills an entry when a node first branches on u, since
+    ties.  The kernel fills an entry when a node first walks u's row, since
     a small solve reads few of them; callers that share one tables (the
     lexleast probes) share the entries."""
     cover = g.adj if kind == "gamma_t" else g.closed
@@ -305,6 +305,19 @@ def _search_kernel(
     left counts as disjoint; a scan that goes on past it branches on it (no
     count is lower), with no child.
 
+    A node with uncovered vertices whose counting bound leaves room for one
+    more member decides it in one row walk, with no scan, no stabiliser and
+    no child: it walks the ranked row of its lowest uncovered vertex, skips
+    each excluded v, each v that leaves a vertex uncovered and, for
+    gamma_t2, each v that leaves a member of ``chosen | 1 << v`` with no
+    partner in it, and takes each v left as a leaf.  These are the sets
+    that branching reaches, in its order: a completing v covers every
+    uncovered vertex, so it lies in every uncovered vertex's row, and all
+    rows are ranked by one key; the node's group fixes ``chosen`` pointwise,
+    so it keeps the uncovered set, the orbit of a failing candidate holds
+    no completing one, and skipping orbits saved only time; ``collect``
+    runs with no group.
+
     ``need[c]`` is ceil(c * num / den).  For gamma (num, den) is
     (1, max degree + 1), since a member covers at most den vertices, and
     for gamma_t (open rows) (1, max degree).  For gamma_t2 it is
@@ -349,6 +362,22 @@ def _search_kernel(
             room = best_size - size  # members this node may still add, plus one
             bound = need[uncovered.bit_count()]
             if bound >= room:
+                return False
+            if room == 2:  # one member left: walk one row, no scan, no child
+                u = (uncovered & -uncovered).bit_length() - 1
+                order = cover_ranked[u]
+                if order is None:
+                    order = cover_ranked[u] = sorted(_bits(cover[u]), key=negdeg.__getitem__)
+                for v in order:
+                    if excluded >> v & 1 or uncovered & ~cover[v]:
+                        continue
+                    last = chosen | 1 << v
+                    if partners is not None and any(not last & partners[w] for w in _bits(last)):
+                        continue  # a member left with no partner
+                    if collect is None:
+                        best, best_size = last, size + 1
+                        return first
+                    collect.append(last)
                 return False
             keep = ~excluded
             branch, branch_count, used, disjoint = -1, n + 1, 0, 0

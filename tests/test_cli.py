@@ -4,6 +4,7 @@ import pytest
 
 from semitotal import parse_graph6
 from semitotal.cli import main
+from semitotal.harness import scan
 from semitotal.io import parse_factor_token
 
 
@@ -102,6 +103,27 @@ def test_solve_no_longer_takes_family_flags(capsys):
         main(["solve", "--family", "path", "--n", "4", "--p", "0.9", "--kind", "gamma_t2"])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,unknown",
+    [
+        (["solve", "--graph6", "A_", "--kind", "rho"], "--graph6 A_"),
+        (["scan", "--spec", "path:2 x path:2", "--out", "o.jsonl", "--no-rep"], "--no-rep"),
+    ],
+)
+def test_abbreviated_flags_are_usage(capsys, monkeypatch, argv, unknown):
+    # no prefix matching: --graph6 is not read as --graph6-file, nor
+    # --no-rep as --no-replay
+    def solved(*args, **kwargs):
+        raise AssertionError("an abbreviated flag reached the command")
+
+    monkeypatch.setattr("semitotal.cli.scan", solved)
+    monkeypatch.setattr("semitotal.cli.solve_bnb", solved)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
 
 
 def test_product_emits_four_cycle(capsys):
@@ -261,6 +283,23 @@ def test_scan_json_random_entry_with_bad_p_is_usage(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("digits", [400, 5_000])
+def test_scan_json_random_entry_with_huge_integer_p_is_usage(capsys, tmp_path, digits):
+    # 400 digits lie beyond float range and 5,000 beyond what json reads as
+    # an integer; neither is a traceback
+    p = "1" + "0" * digits
+    left = '{"family": "random", "n": 5, "p": %s, "seed": 1}' % p
+    spec = '{"left": [%s], "right": [{"family": "path", "n": 2}]}' % left
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec)
+    out_path = tmp_path / "rand.jsonl"
+    code, out, err = run(capsys, "scan", "--spec-json", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert ("0 <= p <= 1" if digits == 400 else "cannot load spec file") in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_scan_internal_value_error_is_not_usage(capsys, tmp_path, monkeypatch):
     # a fault inside the replay is an internal error (exit 1 with a
     # traceback), not a usage error
@@ -304,9 +343,38 @@ def test_scan_unwritable_output_is_usage(capsys, tmp_path, monkeypatch, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scan_output_that_fails_after_solving_is_usage(capsys, tmp_path):
-    # the directory check passes, and the write itself fails
-    (tmp_path / "o.jsonl").mkdir()
+@pytest.mark.parametrize(
+    "flags",
+    [("--out", "d/"), ("--out", "d"), ("--out", "o.jsonl", "--csv", "d"), ("--out", "d.jsonl")],
+)
+def test_scan_output_that_is_a_directory_is_refused_before_scanning(
+    capsys, tmp_path, monkeypatch, flags
+):
+    # a directory named as the JSONL or the CSV, whose default path is the
+    # JSONL's with .csv, fails before any pair is solved
+    def solved(*args, **kwargs):
+        raise AssertionError("scan ran before the output paths were checked")
+
+    monkeypatch.setattr("semitotal.cli.scan", solved)
+    for name in ("d", "d.csv"):
+        (tmp_path / name).mkdir()
+    argv = ["scan", "--spec", "path:2 x path:2", "--workers", "1"]
+    argv += [str(tmp_path) + "/" + f if f[0] != "-" else f for f in flags]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "is a directory" in err
+    assert out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d", "d.csv"]
+
+
+def test_scan_output_that_fails_after_solving_is_usage(capsys, tmp_path, monkeypatch):
+    # the path checks pass, and the write itself fails: the output path
+    # became a directory while the pairs were solved
+    def scan_then_block(spec, options):
+        (tmp_path / "o.jsonl").mkdir()
+        return scan(spec, options)
+
+    monkeypatch.setattr("semitotal.cli.scan", scan_then_block)
     argv = ["scan", "--spec", "path:2 x path:2", "--out", str(tmp_path / "o.jsonl"), "--workers", "1"]
     code, out, err = run(capsys, *argv)
     assert code == 2
